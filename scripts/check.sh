@@ -2,8 +2,9 @@
 # Full local gate: build + test the default and sanitize presets, run
 # the concurrent-sweep suites (ExpSweep*) and the seeded fault-plan fuzz
 # loop (FaultFuzz*, >=50 randomized plans) under ThreadSanitizer, smoke
-# the hvc_run → hvc_report telemetry pipeline end to end, and run the
-# static-analysis stage (hvc_lint + clang-tidy when installed).
+# the hvc_run → hvc_report telemetry pipeline end to end, run the
+# static-analysis stage (hvc_lint + clang-tidy when installed), and check
+# the paper benchmark's result digests.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh default    # just the default preset
@@ -13,13 +14,16 @@
 #   scripts/check.sh lint       # just the static-analysis stage
 #   scripts/check.sh perf       # just the hvc_perf regression smoke
 #   scripts/check.sh diffsim    # just the differential sim-core oracle
+#   scripts/check.sh paperbench # just the paper-benchmark digest check
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 presets=("${@:-default sanitize}")
 # Word-split the default list when invoked with no arguments.
-if [ $# -eq 0 ]; then presets=(default sanitize tsan report lint perf diffsim); fi
+if [ $# -eq 0 ]; then
+  presets=(default sanitize tsan report lint perf diffsim paperbench)
+fi
 
 for preset in "${presets[@]}"; do
   echo "==== preset: ${preset} ===="
@@ -107,6 +111,20 @@ for preset in "${presets[@]}"; do
     done
     rm -rf "${out}"
     echo "diffsim oracle OK"
+  elif [ "${preset}" = "paperbench" ]; then
+    # Paper benchmark (paperbench/): its own tests, then one short untraced
+    # bulk_cca pass (Fig. 1a/1b grid) at the held-out seed 7. Every grid
+    # point's simulated outputs must match paperbench/digests.txt, which
+    # the last stdout line reports as "correct": true.
+    python3 -m unittest discover -s paperbench/tests
+    result="$(python3 paperbench/run.py --workload bulk_cca --seed 7 \
+      --seconds 3 --trace 0 | tail -n 1)"
+    echo "${result}"
+    case "${result}" in
+      *'"correct": true'*) echo "paperbench digests OK" ;;
+      *) echo "paperbench: bulk_cca outputs do not match the digests" >&2
+         exit 1 ;;
+    esac
   elif [ "${preset}" = "lint" ]; then
     # Static analysis. Three gates:
     #  1. tools/hvc_lint — the repo's determinism/simulation-safety rules:

@@ -63,9 +63,38 @@ double get_number(const Value& obj, const std::string& path,
 std::int64_t get_int(const Value& obj, const std::string& path,
                      const std::string& key, std::int64_t dflt) {
   const double d = get_number(obj, path, key, static_cast<double>(dflt));
+  // Range check first: casting an out-of-range double is undefined.
+  if (!(d >= -0x1p63 && d < 0x1p63)) {
+    fail(path + "." + key, "expected an integer in the int64 range");
+  }
   const auto i = static_cast<std::int64_t>(d);
   if (static_cast<double>(i) != d) fail(path + "." + key, "expected an integer");
   return i;
+}
+
+/// A duration of `v` units, `ns_per_unit` ns each, must be finite and its
+/// nanosecond count must fit sim::Duration: sim::seconds_f/milliseconds_f
+/// would otherwise overflow into a garbage, often zero-length, run.
+void require_fits_ns(double v, double ns_per_unit, const std::string& path) {
+  if (!std::isfinite(v)) fail(path, "must be a finite number");
+  const double ns = v * ns_per_unit;
+  if (!(ns >= -0x1p63 && ns < 0x1p63)) {
+    fail(path, "out of range: the simulated clock holds int64 ns (~292 years)");
+  }
+}
+
+double get_seconds(const Value& obj, const std::string& path,
+                   const std::string& key, double dflt) {
+  const double v = get_number(obj, path, key, dflt);
+  require_fits_ns(v, 1e9, path.empty() ? key : path + "." + key);
+  return v;
+}
+
+double get_millis(const Value& obj, const std::string& path,
+                  const std::string& key, double dflt) {
+  const double v = get_number(obj, path, key, dflt);
+  require_fits_ns(v, 1e6, path.empty() ? key : path + "." + key);
+  return v;
 }
 
 bool get_bool(const Value& obj, const std::string& path,
@@ -119,9 +148,9 @@ ChannelSpec parse_channel(const Value& v, const std::string& path) {
   } else if (!c.profile.empty()) {
     fail(path + ".profile", "only valid for type \"5g\"");
   }
-  c.rtt_ms = get_number(v, path, "rtt_ms", c.rtt_ms);
+  c.rtt_ms = get_millis(v, path, "rtt_ms", c.rtt_ms);
   c.rate_mbps = get_number(v, path, "rate_mbps", c.rate_mbps);
-  c.duration_s = get_number(v, path, "duration_s", c.duration_s);
+  c.duration_s = get_seconds(v, path, "duration_s", c.duration_s);
   c.seed = get_int(v, path, "seed", c.seed);
   return c;
 }
@@ -142,7 +171,7 @@ PolicySpec parse_policy(const Value& v, const std::string& path) {
       fail(path + ".preset", "expected aggressive|web-tuned");
     }
     p.cost_factor = get_number(v, path, "cost_factor", p.cost_factor);
-    p.min_margin_ms = get_number(v, path, "min_margin_ms", p.min_margin_ms);
+    p.min_margin_ms = get_millis(v, path, "min_margin_ms", p.min_margin_ms);
     p.max_queue_fill = get_number(v, path, "max_queue_fill", p.max_queue_fill);
     p.max_data_queue_fill =
         get_number(v, path, "max_data_queue_fill", p.max_data_queue_fill);
@@ -208,7 +237,7 @@ WebSpec parse_web(const Value& v, const std::string& path) {
   w.bg_flow_priority =
       static_cast<int>(get_int(v, path, "bg_flow_priority", w.bg_flow_priority));
   w.per_load_timeout_s =
-      get_number(v, path, "per_load_timeout_s", w.per_load_timeout_s);
+      get_seconds(v, path, "per_load_timeout_s", w.per_load_timeout_s);
   require_positive(w.per_load_timeout_s, path + ".per_load_timeout_s");
   return w;
 }
@@ -220,8 +249,8 @@ VideoSpec parse_video(const Value& v, const std::string& path) {
               "keyframe_interval", "decode_wait_ms", "lookahead_frames",
               "encoder_seed", "receiver_seed"});
   VideoSpec s;
-  s.duration_s = get_number(v, path, "duration_s", s.duration_s);
-  s.drain_s = get_number(v, path, "drain_s", s.drain_s);
+  s.duration_s = get_seconds(v, path, "duration_s", s.duration_s);
+  s.drain_s = get_seconds(v, path, "drain_s", s.drain_s);
   if (s.drain_s < 0) fail(path + ".drain_s", "must be >= 0");
   s.fps = static_cast<int>(get_int(v, path, "fps", s.fps));
   if (s.fps <= 0) fail(path + ".fps", "must be > 0");
@@ -242,7 +271,7 @@ VideoSpec parse_video(const Value& v, const std::string& path) {
   s.keyframe_interval = static_cast<int>(
       get_int(v, path, "keyframe_interval", s.keyframe_interval));
   if (s.keyframe_interval <= 0) fail(path + ".keyframe_interval", "must be > 0");
-  s.decode_wait_ms = get_number(v, path, "decode_wait_ms", s.decode_wait_ms);
+  s.decode_wait_ms = get_millis(v, path, "decode_wait_ms", s.decode_wait_ms);
   if (s.decode_wait_ms < 0) fail(path + ".decode_wait_ms", "must be >= 0");
   s.lookahead_frames = static_cast<int>(
       get_int(v, path, "lookahead_frames", s.lookahead_frames));
@@ -280,10 +309,12 @@ FaultSpec parse_fault(const Value& v, const std::string& path,
       f.direction != "both") {
     fail(path + ".direction", "expected down|up|both");
   }
-  f.start_s = get_number(v, path, "start_s", f.start_s);
+  f.start_s = get_seconds(v, path, "start_s", f.start_s);
   if (f.start_s < 0) fail(path + ".start_s", "must be >= 0");
-  f.duration_s = get_number(v, path, "duration_s", f.duration_s);
+  f.duration_s = get_seconds(v, path, "duration_s", f.duration_s);
   require_positive(f.duration_s, path + ".duration_s");
+  // The runner schedules the episode's end at start + duration.
+  require_fits_ns(f.start_s + f.duration_s, 1e9, path + ".duration_s");
 
   // Kind-specific knobs may only appear for their kind: a spec that sets
   // rate_scale on an outage is almost certainly a typo'd kind.
@@ -313,7 +344,7 @@ FaultSpec parse_fault(const Value& v, const std::string& path,
       (f.rate_scale <= 0 || f.rate_scale >= 1)) {
     fail(path + ".rate_scale", "must be in (0, 1)");
   }
-  f.extra_delay_ms = get_number(v, path, "extra_delay_ms", f.extra_delay_ms);
+  f.extra_delay_ms = get_millis(v, path, "extra_delay_ms", f.extra_delay_ms);
   if (f.kind == "delay_spike") {
     require_positive(f.extra_delay_ms, path + ".extra_delay_ms");
   }
@@ -335,7 +366,7 @@ FaultSpec parse_fault(const Value& v, const std::string& path,
   }
   f.seed = get_int(v, path, "seed", f.seed);
   if (f.seed < -1) fail(path + ".seed", "must be >= 0 (or -1 for default)");
-  f.period_s = get_number(v, path, "period_s", f.period_s);
+  f.period_s = get_seconds(v, path, "period_s", f.period_s);
   if (flap) require_positive(f.period_s, path + ".period_s");
   f.up_fraction = get_number(v, path, "up_fraction", f.up_fraction);
   if (flap && (f.up_fraction <= 0 || f.up_fraction >= 1)) {
@@ -402,7 +433,8 @@ CitySpec parse_city(const Value& v, const std::string& path) {
                {"think_time_s", "min_levels", "max_levels", "min_objects",
                 "max_objects", "html_min_bytes", "html_max_bytes",
                 "object_xm_bytes", "object_alpha", "object_cap_bytes"});
-    p.web.think_time_s = get_number(*w, wp, "think_time_s", p.web.think_time_s);
+    p.web.think_time_s =
+        get_seconds(*w, wp, "think_time_s", p.web.think_time_s);
     require_positive(p.web.think_time_s, wp + ".think_time_s");
     p.web.min_levels =
         static_cast<int>(get_int(*w, wp, "min_levels", p.web.min_levels));
@@ -441,7 +473,7 @@ CitySpec parse_city(const Value& v, const std::string& path) {
     const std::string vp = path + ".video";
     require_object(*vid, vp);
     check_keys(*vid, vp, {"chunk_s", "kbps"});
-    p.video.chunk_s = get_number(*vid, vp, "chunk_s", p.video.chunk_s);
+    p.video.chunk_s = get_seconds(*vid, vp, "chunk_s", p.video.chunk_s);
     require_positive(p.video.chunk_s, vp + ".chunk_s");
     p.video.kbps = get_number(*vid, vp, "kbps", p.video.kbps);
     require_positive(p.video.kbps, vp + ".kbps");
@@ -450,7 +482,7 @@ CitySpec parse_city(const Value& v, const std::string& path) {
     const std::string bp = path + ".background";
     require_object(*bg, bp);
     check_keys(*bg, bp, {"period_s", "xm_bytes", "alpha", "cap_bytes"});
-    p.background.period_s = get_number(*bg, bp, "period_s",
+    p.background.period_s = get_seconds(*bg, bp, "period_s",
                                        p.background.period_s);
     require_positive(p.background.period_s, bp + ".period_s");
     p.background.xm_bytes =
@@ -474,7 +506,7 @@ CitySpec parse_city(const Value& v, const std::string& path) {
       fail(cp + ".arrival_rate_per_s", "must be >= 0");
     }
     p.churn.mean_session_s =
-        get_number(*ch, cp, "mean_session_s", p.churn.mean_session_s);
+        get_seconds(*ch, cp, "mean_session_s", p.churn.mean_session_s);
     if (p.churn.mean_session_s < 0) {
       fail(cp + ".mean_session_s", "must be >= 0");
     }
@@ -485,7 +517,7 @@ CitySpec parse_city(const Value& v, const std::string& path) {
     check_keys(*st, sp, {"enabled", "delay_bound_ms", "max_bytes"});
     p.steer.enabled = get_bool(*st, sp, "enabled", p.steer.enabled);
     p.steer.delay_bound_ms =
-        get_number(*st, sp, "delay_bound_ms", p.steer.delay_bound_ms);
+        get_millis(*st, sp, "delay_bound_ms", p.steer.delay_bound_ms);
     require_positive(p.steer.delay_bound_ms, sp + ".delay_bound_ms");
     p.steer.max_bytes = get_number(*st, sp, "max_bytes", p.steer.max_bytes);
     if (p.steer.max_bytes < 0) fail(sp + ".max_bytes", "must be >= 0");
@@ -507,7 +539,7 @@ TelemetrySpec parse_telemetry(const Value& v, const std::string& path) {
               "max_series", "audit_capacity", "out_prefix"});
   TelemetrySpec t;
   t.enabled = get_bool(v, path, "enabled", true);  // presence = opt-in
-  t.period_ms = get_number(v, path, "period_ms", t.period_ms);
+  t.period_ms = get_millis(v, path, "period_ms", t.period_ms);
   require_positive(t.period_ms, path + ".period_ms");
   if (const Value* arr = v.find("series")) {
     if (!arr->is_array()) {
@@ -614,7 +646,7 @@ ScenarioSpec ScenarioSpec::from_json(const obs::json::Value& v) {
     fail("workload",
          "expected bulk|video|web|city (got '" + s.workload + "')");
   }
-  s.duration_s = get_number(v, "", "duration_s", s.duration_s);
+  s.duration_s = get_seconds(v, "", "duration_s", s.duration_s);
   require_positive(s.duration_s, "duration_s");
   const std::int64_t seed = get_int(v, "", "seed", static_cast<std::int64_t>(s.seed));
   if (seed < 0) fail("seed", "must be >= 0");
@@ -652,14 +684,15 @@ ScenarioSpec ScenarioSpec::from_json(const obs::json::Value& v) {
     s.down_policy = parse_policy(*p, "down_policy");
   }
   s.resequence_hold_ms =
-      get_number(v, "", "resequence_hold_ms", s.resequence_hold_ms);
+      get_millis(v, "", "resequence_hold_ms", s.resequence_hold_ms);
   if (s.resequence_hold_ms < 0) fail("resequence_hold_ms", "must be >= 0");
   if (const Value* w = v.find("web")) s.web = parse_web(*w, "web");
   if (const Value* vid = v.find("video")) s.video = parse_video(*vid, "video");
   if (const Value* b = v.find("bulk")) {
     require_object(*b, "bulk");
     check_keys(*b, "bulk", {"duration_s"});
-    s.bulk.duration_s = get_number(*b, "bulk", "duration_s", s.bulk.duration_s);
+    s.bulk.duration_s =
+        get_seconds(*b, "bulk", "duration_s", s.bulk.duration_s);
   }
   if (const Value* c = v.find("city")) s.city = parse_city(*c, "city");
   if (const Value* faults = v.find("faults")) {
@@ -685,7 +718,9 @@ ScenarioSpec ScenarioSpec::from_json(const obs::json::Value& v) {
 ScenarioSpec ScenarioSpec::from_json_text(std::string_view text) {
   obs::json::Value v;
   if (!obs::json::parse(text, &v)) {
-    throw SpecError("scenario: malformed JSON (syntax error)");
+    throw SpecError(
+        "scenario: malformed JSON (syntax error, or over " +
+        std::to_string(obs::json::Parser::kMaxDepth) + " levels deep)");
   }
   return from_json(v);
 }

@@ -166,7 +166,9 @@ SweepSpec SweepSpec::from_json(const Value& v) {
 SweepSpec SweepSpec::from_json_text(std::string_view text) {
   Value v;
   if (!obs::json::parse(text, &v)) {
-    throw SpecError("sweep: malformed JSON (syntax error)");
+    throw SpecError(
+        "sweep: malformed JSON (syntax error, or over " +
+        std::to_string(obs::json::Parser::kMaxDepth) + " levels deep)");
   }
   return from_json(v);
 }

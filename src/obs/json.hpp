@@ -95,13 +95,18 @@ struct Value {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted. The parser recurses once per
+  /// level, so this bounds its stack: a deeper document is rejected as
+  /// malformed rather than overflowing the stack.
+  static constexpr int kMaxDepth = 512;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
-  /// Parse a full document; returns false on any syntax error or
-  /// trailing garbage.
+  /// Parse a full document; returns false on any syntax error, nesting
+  /// deeper than kMaxDepth, or trailing garbage.
   bool parse(Value* out) {
     skip_ws();
-    if (!parse_value(out)) return false;
+    if (!parse_value(out, 0)) return false;
     skip_ws();
     return pos_ == text_.size();
   }
@@ -200,10 +205,12 @@ class Parser {
     return std::sscanf(tok.c_str(), "%lf", out) == 1;
   }
 
-  bool parse_value(Value* out) {
+  /// `depth` counts the arrays/objects enclosing this value.
+  bool parse_value(Value* out, int depth) {
     skip_ws();
     if (pos_ >= text_.size()) return false;
     const char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) return false;
     if (c == '{') {
       ++pos_;
       out->kind = Value::Kind::kObject;
@@ -216,7 +223,7 @@ class Parser {
         skip_ws();
         if (!consume(':')) return false;
         Value v;
-        if (!parse_value(&v)) return false;
+        if (!parse_value(&v, depth + 1)) return false;
         out->object.emplace(std::move(key), std::move(v));
         skip_ws();
         if (consume('}')) return true;
@@ -230,7 +237,7 @@ class Parser {
       if (consume(']')) return true;
       while (true) {
         Value v;
-        if (!parse_value(&v)) return false;
+        if (!parse_value(&v, depth + 1)) return false;
         out->array.push_back(std::move(v));
         skip_ws();
         if (consume(']')) return true;

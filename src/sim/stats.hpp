@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -81,52 +82,47 @@ class TimeSeries {
   std::vector<Point> points_;
 };
 
-/// Windowed max filter: reports the maximum of samples whose timestamps lie
-/// within `window` of the latest sample. O(1) amortized via a monotonic
-/// deque. This is the estimator BBR uses for bottleneck bandwidth.
-class WindowedMax {
+/// Windowed extremum filter over an int64 key (ns for RTT, round count
+/// for BtlBw): reports the extremum of the samples whose key lies within
+/// `window` of the newest sample's key, or `kEmpty` when there are none.
+/// `Compare(old, v)` holds when `v` is at least as extreme as `old`. Keys
+/// must never decrease. O(1) amortized via a monotonic deque: a sample
+/// that a newer one matches or beats can never be reported again, so it
+/// is dropped on arrival; samples expire (key < newest - window) only on
+/// update().
+template <typename Compare, double kEmpty>
+class WindowedExtremum {
  public:
-  explicit WindowedMax(Duration window) : window_(window) {}
+  explicit WindowedExtremum(std::int64_t window) : window_(window) {}
 
-  void update(Time now, double v);
+  void update(std::int64_t key, double v) {
+    while (!q_.empty() && Compare{}(q_.back().value, v)) q_.pop_back();
+    q_.push_back({key, v});
+    while (!q_.empty() && q_.front().key < key - window_) q_.pop_front();
+  }
   [[nodiscard]] double get() const {
-    return q_.empty() ? 0.0 : q_.front().value;
+    return q_.empty() ? kEmpty : q_.front().value;
   }
   [[nodiscard]] bool empty() const { return q_.empty(); }
-  void set_window(Duration w) { window_ = w; }
+  void set_window(std::int64_t w) { window_ = w; }
   void reset() { q_.clear(); }
 
  private:
   struct Entry {
-    Time t;
+    std::int64_t key;
     double value;
   };
-  Duration window_;
+  std::int64_t window_;
   std::deque<Entry> q_;
 };
 
-/// Windowed min filter; BBR's min-RTT estimator.
-class WindowedMin {
- public:
-  explicit WindowedMin(Duration window) : window_(window) {}
+/// Windowed max (0 when empty); BBR's bottleneck-bandwidth estimator.
+using WindowedMax = WindowedExtremum<std::less_equal<double>, 0.0>;
 
-  void update(Time now, double v);
-  [[nodiscard]] double get() const {
-    return q_.empty() ? std::numeric_limits<double>::infinity()
-                      : q_.front().value;
-  }
-  [[nodiscard]] bool empty() const { return q_.empty(); }
-  void set_window(Duration w) { window_ = w; }
-  void reset() { q_.clear(); }
-
- private:
-  struct Entry {
-    Time t;
-    double value;
-  };
-  Duration window_;
-  std::deque<Entry> q_;
-};
+/// Windowed min (+inf when empty); BBR's min-RTT estimator.
+using WindowedMin =
+    WindowedExtremum<std::greater_equal<double>,
+                     std::numeric_limits<double>::infinity()>;
 
 /// Exponentially weighted moving average with explicit "no sample yet"
 /// state (first sample initializes rather than decays from zero).

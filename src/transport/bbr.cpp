@@ -8,14 +8,11 @@ namespace hvc::transport {
 
 Bbr::Bbr(BbrConfig cfg)
     : cfg_(cfg),
+      btl_bw_filter_(cfg.bw_window_rounds),
       rt_prop_filter_(cfg.min_rtt_window),
       pacing_gain_(cfg.startup_gain) {}
 
-double Bbr::btl_bw_bps() const {
-  double best = 0.0;
-  for (const auto& s : bw_samples_) best = std::max(best, s.bps);
-  return best;
-}
+double Bbr::btl_bw_bps() const { return btl_bw_filter_.get(); }
 
 sim::Duration Bbr::rt_prop() const {
   const double v = rt_prop_filter_.get();
@@ -54,15 +51,11 @@ void Bbr::on_packet_sent(sim::Time /*now*/, std::int64_t /*bytes*/,
 }
 
 void Bbr::update_btl_bw(const AckEvent& ev) {
-  current_round_ = ev.round_trips;
   if (ev.delivery_rate_bps <= 0.0) return;
   // App-limited samples only count if they exceed the current estimate
   // (standard BBR rule: an app-limited flow can't underestimate the pipe).
   if (ev.app_limited && ev.delivery_rate_bps < btl_bw_bps()) return;
-  bw_samples_.push_back({current_round_, ev.delivery_rate_bps});
-  std::erase_if(bw_samples_, [&](const BwSample& s) {
-    return s.round < current_round_ - cfg_.bw_window_rounds;
-  });
+  btl_bw_filter_.update(ev.round_trips, ev.delivery_rate_bps);
 }
 
 void Bbr::update_rt_prop(const AckEvent& ev) {
@@ -154,7 +147,7 @@ void Bbr::on_ack(const AckEvent& ev) {
 void Bbr::on_loss(const LossEvent& ev) {
   // BBRv1 mostly ignores loss; on RTO it conservatively restarts the model.
   if (ev.is_rto) {
-    bw_samples_.clear();
+    btl_bw_filter_.reset();
     full_bw_ = 0.0;
     full_bw_count_ = 0;
     filled_pipe_ = false;

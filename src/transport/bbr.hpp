@@ -53,13 +53,8 @@ class Bbr final : public CcAlgorithm {
   BbrConfig cfg_;
   Mode mode_ = Mode::kStartup;
 
-  // BtlBw: max filter over rounds (we window by round count).
-  struct BwSample {
-    std::int64_t round;
-    double bps;
-  };
-  std::vector<BwSample> bw_samples_;
-  std::int64_t current_round_ = 0;
+  // BtlBw: windowed max keyed by round count.
+  sim::WindowedMax btl_bw_filter_;
 
   // RTprop: windowed min over wall (sim) time.
   sim::WindowedMin rt_prop_filter_;

@@ -62,11 +62,7 @@ class HvcAwareCc final : public CcAlgorithm {
   Mode mode_ = Mode::kStartup;
   std::array<PerChannel, HvcCcConfig::kMaxChannels> ch_{};
 
-  struct BwSample {
-    std::int64_t round;
-    double bps;
-  };
-  std::vector<BwSample> bw_samples_;
+  sim::WindowedMax btl_bw_filter_;  ///< keyed by round count
 
   double full_bw_ = 0.0;
   int full_bw_count_ = 0;

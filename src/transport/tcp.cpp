@@ -120,16 +120,9 @@ void TcpSender::try_send() {
     }
 
     // Retransmissions take precedence (oldest first).
-    Segment* to_retx = nullptr;
-    for (auto& [seq, seg] : outstanding_) {
-      if (seg.lost && !seg.sacked) {
-        to_retx = &seg;
-        break;
-      }
-    }
-
-    if (to_retx != nullptr) {
-      send_segment(*to_retx, /*retransmission=*/true);
+    if (!retx_queue_.empty()) {
+      send_segment(outstanding_.find(*retx_queue_.begin())->second,
+                   /*retransmission=*/true);
     } else {
       std::uint32_t len = 0;
       net::AppHeader app;
@@ -175,8 +168,9 @@ void TcpSender::send_segment(Segment& seg, bool retransmission) {
 
   if (seg.first_sent == 0) seg.first_sent = now;
   seg.last_sent = now;
+  sent_list_.push_back({now, seg.seq});
   ++seg.tx_count;
-  seg.lost = false;
+  set_lost(seg, false);
   seg.delivered_snapshot = delivered_bytes_;
   seg.delivered_ts_snapshot = delivered_ts_;
 
@@ -202,6 +196,22 @@ void TcpSender::send_segment(Segment& seg, bool retransmission) {
 
   local_.send(std::move(p));
   if (!rto_timer_.armed()) arm_rto();
+}
+
+void TcpSender::set_lost(Segment& seg, bool lost) {
+  if (seg.lost == lost) return;
+  seg.lost = lost;
+  if (lost) {
+    retx_queue_.insert(seg.seq);
+  } else {
+    retx_queue_.erase(seg.seq);
+  }
+}
+
+void TcpSender::leave_flight(Segment& seg) {
+  if (!seg.in_flight) return;
+  seg.in_flight = false;
+  in_flight_ -= seg.len;
 }
 
 Duration TcpSender::rack_window() const {
@@ -248,16 +258,30 @@ void TcpSender::detect_losses_rack(Time rack_ts) {
   if (rack_ts <= 0) return;
   std::int64_t lost_bytes = 0;
   const Duration window = rack_window();
-  for (auto& [seq, seg] : outstanding_) {
-    if (seg.sacked || seg.lost) continue;
-    if (seg.last_sent + window < rack_ts) {
-      seg.lost = true;
-      if (seg.in_flight) {
-        seg.in_flight = false;
-        in_flight_ -= seg.len;
+  // Every segment not yet SACKed or lost has a live record: the one for
+  // its latest transmission. Records are in send order, so the first live
+  // one still inside the window ends the scan.
+  while (sent_head_ < sent_list_.size()) {
+    const SentRecord rec = sent_list_[sent_head_];
+    const auto it = outstanding_.find(rec.seq);
+    if (it != outstanding_.end()) {
+      Segment& seg = it->second;
+      if (!seg.sacked && !seg.lost && seg.last_sent == rec.sent) {
+        if (seg.last_sent + window >= rack_ts) break;
+        set_lost(seg, true);
+        leave_flight(seg);
+        lost_bytes += seg.len;
       }
-      lost_bytes += seg.len;
     }
+    ++sent_head_;
+  }
+  // Reclaim the dropped prefix once it outweighs the live records: each
+  // record is moved at most once per record dropped, so O(1) amortized.
+  if (sent_head_ * 2 >= sent_list_.size()) {
+    sent_list_.erase(sent_list_.begin(),
+                     sent_list_.begin() +
+                         static_cast<std::ptrdiff_t>(sent_head_));
+    sent_head_ = 0;
   }
   if (lost_bytes > 0) {
     cca_->on_loss({sim_.now(), lost_bytes, in_flight_, false});
@@ -289,10 +313,7 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
       auto it = outstanding_.begin();
       Segment& seg = it->second;
       if (seg.seq + seg.len > tp.ack) break;
-      if (seg.in_flight) {
-        seg.in_flight = false;
-        in_flight_ -= seg.len;
-      }
+      leave_flight(seg);
       if (!seg.sacked) {
         newly_delivered += seg.len;
         note_reordering(seg);
@@ -302,6 +323,7 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
       if (!rate_sample_seg || seg.seq > rate_sample_seg->seq) {
         rate_sample_seg = seg;
       }
+      set_lost(seg, false);
       outstanding_.erase(it);
     }
     cum_acked_ = tp.ack;
@@ -320,16 +342,13 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
       if (seg.sacked) continue;
       seg.sacked = true;
       note_spurious_if_unretransmitted(seg, now);
-      seg.lost = false;  // it arrived; no retransmission needed
+      set_lost(seg, false);  // it arrived; no retransmission needed
       note_reordering(seg);
       if (seg.seq + seg.len > highest_sacked_end_) {
         highest_sacked_end_ = seg.seq + seg.len;
       }
       any_new_sack = true;
-      if (seg.in_flight) {
-        seg.in_flight = false;
-        in_flight_ -= seg.len;
-      }
+      leave_flight(seg);
       newly_delivered += seg.len;
       rack_ts = std::max(rack_ts, seg.last_sent);
       if (!rate_sample_seg || seg.seq > rate_sample_seg->seq) {
@@ -349,11 +368,8 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
     if (++dupacks_ >= cfg_.dupack_threshold && !outstanding_.empty()) {
       Segment& head = outstanding_.begin()->second;
       if (!head.lost && !head.sacked) {
-        head.lost = true;
-        if (head.in_flight) {
-          head.in_flight = false;
-          in_flight_ -= head.len;
-        }
+        set_lost(head, true);
+        leave_flight(head);
         cca_->on_loss({now, head.len, in_flight_, false});
       }
       dupacks_ = 0;
@@ -446,11 +462,8 @@ void TcpSender::on_rto() {
   std::int64_t lost_bytes = 0;
   for (auto& [seq, seg] : outstanding_) {
     if (seg.sacked || seg.lost) continue;
-    seg.lost = true;
-    if (seg.in_flight) {
-      seg.in_flight = false;
-      in_flight_ -= seg.len;
-    }
+    set_lost(seg, true);
+    leave_flight(seg);
     lost_bytes += seg.len;
   }
   dupacks_ = 0;

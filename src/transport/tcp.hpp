@@ -16,7 +16,9 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -129,7 +131,7 @@ class TcpSender {
     sim::Time last_sent = 0;
     int tx_count = 0;
     bool sacked = false;
-    bool lost = false;     ///< marked for retransmission
+    bool lost = false;     ///< marked for retransmission; see set_lost()
     bool in_flight = false;  ///< currently counted in in_flight_
     net::AppHeader app;
     // Delivery-rate sampling snapshots (BBR-style).
@@ -141,6 +143,8 @@ class TcpSender {
   void on_ack_packet(const net::PacketPtr& p);
   void try_send();
   void send_segment(Segment& seg, bool retransmission);
+  void set_lost(Segment& seg, bool lost);
+  void leave_flight(Segment& seg);
   std::optional<std::uint64_t> next_fresh_span(std::uint32_t* len,
                                                net::AppHeader* app);
   void detect_losses_rack(sim::Time rack_ts);
@@ -168,6 +172,21 @@ class TcpSender {
 
   std::map<std::uint64_t, Segment> outstanding_;  ///< by seq
   std::int64_t in_flight_ = 0;
+
+  // RACK's time-ordered sent list (RFC 8985 §6; Linux tsorted_sent_queue):
+  // one record per transmission, in send order, from sent_head_ on. A
+  // record is stale once its segment is acked, SACKed, marked lost or
+  // re-sent; stale records are dropped when they reach the head. A vector
+  // rather than a deque, which allocates a block per sender up front.
+  struct SentRecord {
+    sim::Time sent;
+    std::uint64_t seq;
+  };
+  std::vector<SentRecord> sent_list_;
+  std::size_t sent_head_ = 0;
+  /// Seqs of the segments marked lost (never SACKed ones: a SACK clears
+  /// the mark), oldest first. Kept exact by set_lost().
+  std::set<std::uint64_t> retx_queue_;
 
   // Delivery accounting for rate samples.
   std::int64_t delivered_bytes_ = 0;

@@ -147,6 +147,60 @@ TEST(ExpSpec, ErrorsCarryJsonPaths) {
   }
 }
 
+TEST(ExpSpec, RejectsNestingDeeperThanTheParserCap) {
+  // Far past obs::json::Parser::kMaxDepth: rejected as malformed JSON, for
+  // scenarios and sweeps alike, instead of overflowing the parser's stack.
+  const std::string deep(200000, '[');
+  EXPECT_THROW((void)exp::ScenarioSpec::from_json_text(deep), exp::SpecError);
+  EXPECT_THROW((void)exp::SweepSpec::from_json_text(deep), exp::SpecError);
+  const std::string nested_objects = [] {
+    std::string s;
+    for (int i = 0; i < 200000; ++i) s += "{\"a\":";
+    return s;
+  }();
+  EXPECT_THROW((void)exp::ScenarioSpec::from_json_text(nested_objects),
+               exp::SpecError);
+}
+
+std::string spec_error(const std::string& json) {
+  try {
+    (void)exp::ScenarioSpec::from_json_text(json);
+  } catch (const exp::SpecError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ExpSpec, RejectsDurationsTheSimulatedClockCannotHold) {
+  // 1e309 parses as +inf; 1e12 s is 1e21 ns, past int64. Converting either
+  // to sim::Duration would overflow into a garbage, often zero-length, run.
+  EXPECT_NE(spec_error(R"({"duration_s": 1e309})").find("duration_s: must be "
+                                                          "a finite number"),
+            std::string::npos);
+  EXPECT_NE(spec_error(R"({"duration_s": 1e12})").find("duration_s: out of "
+                                                         "range"),
+            std::string::npos);
+  EXPECT_NE(spec_error(R"({"workload": "bulk", "bulk": {"duration_s": 1e12}})")
+                .find("bulk.duration_s: out of range"),
+            std::string::npos);
+  EXPECT_NE(
+      spec_error(R"({"channels": [{"type": "urllc", "rtt_ms": 1e13}]})")
+          .find("channels.0.rtt_ms: out of range"),
+      std::string::npos);
+  EXPECT_NE(spec_error(R"({"telemetry": {"period_ms": -1e309}})")
+                .find("telemetry.period_ms: must be a finite number"),
+            std::string::npos);
+  // Each bound fits but the episode end (start + duration) does not.
+  EXPECT_NE(spec_error(R"({"faults": [{"kind": "outage", "channel": 0,
+                         "start_s": 5e9, "duration_s": 5e9}]})")
+                .find("faults.0.duration_s: out of range"),
+            std::string::npos);
+  // Integers outside int64 are rejected before the (undefined) cast.
+  EXPECT_NE(spec_error(R"({"seed": 1e30})").find("seed"), std::string::npos);
+  // The largest whole-second duration that fits still parses.
+  EXPECT_EQ(spec_error(R"({"duration_s": 9e9})"), "");
+}
+
 TEST(ExpSpec, FromFileReportsPathAndMissingFiles) {
   EXPECT_THROW((void)exp::ScenarioSpec::from_file("/nonexistent/x.json"),
                exp::SpecError);

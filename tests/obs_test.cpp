@@ -242,6 +242,27 @@ TEST(Metrics, SnapshotFlattensHistograms) {
   EXPECT_TRUE(obs::json::valid(reg.to_json()));
 }
 
+TEST(Json, NestingIsCappedAtMaxDepth) {
+  constexpr int kCap = obs::json::Parser::kMaxDepth;
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const auto objects = [](int depth) {
+    std::string s;
+    for (int i = 0; i < depth; ++i) s += "{\"k\":";
+    s += "1";
+    for (int i = 0; i < depth; ++i) s += "}";
+    return s;
+  };
+  EXPECT_TRUE(obs::json::valid(arrays(kCap)));
+  EXPECT_FALSE(obs::json::valid(arrays(kCap + 1)));
+  EXPECT_TRUE(obs::json::valid(objects(kCap)));
+  EXPECT_FALSE(obs::json::valid(objects(kCap + 1)));
+  // Mixed nesting counts both kinds against the same cap.
+  EXPECT_FALSE(obs::json::valid("[" + objects(kCap) + "]"));
+}
+
 TEST(Manifest, RoundTripsThroughJson) {
   obs::RunManifest m;
   m.name = "fig2_video_steering";

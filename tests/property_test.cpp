@@ -4,7 +4,11 @@
 // parameterized sweeps (TEST_P) over policies, loads, and channel shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <sstream>
+#include <string>
+#include <tuple>
 
 #include "channel/profile.hpp"
 #include "core/scenario.hpp"
@@ -113,8 +117,10 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, FifoTest,
 
 // ---- Transport reliability across loss rates (TEST_P sweep) ----
 
+// std::string, not const char*: gtest prints a const char* tuple element
+// as its address, which would leak into the test names.
 class ReliabilityTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ReliabilityTest, AllBytesDeliveredUnderLoss) {
   const auto [cca, loss] = GetParam();
@@ -141,7 +147,15 @@ TEST_P(ReliabilityTest, AllBytesDeliveredUnderLoss) {
 INSTANTIATE_TEST_SUITE_P(
     CcaLossGrid, ReliabilityTest,
     ::testing::Combine(::testing::Values("cubic", "bbr", "vegas", "hvc"),
-                       ::testing::Values(0.0, 0.01, 0.05)));
+                       ::testing::Values(0.0, 0.01, 0.05)),
+    [](const ::testing::TestParamInfo<ReliabilityTest::ParamType>& param_info) {
+      // e.g. bbr_loss0_01
+      std::ostringstream loss;
+      loss << std::get<1>(param_info.param);
+      std::string name = std::get<0>(param_info.param) + "_loss" + loss.str();
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
 
 // ---- Steering sanity across packet sizes ----
 

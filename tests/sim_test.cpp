@@ -2,8 +2,12 @@
 // determinism, and the statistics toolkit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -295,6 +299,70 @@ TEST(WindowedFilters, NewExtremeReplacesImmediately) {
   f.update(seconds(1), 50.0);
   f.update(seconds(2), 5.0);
   EXPECT_DOUBLE_EQ(f.get(), 5.0);
+}
+
+// Brute-force oracle for the windowed filters: the vector + erase_if form
+// the round-keyed BtlBw filter replaced. Every sample is kept until it
+// expires (key < newest - window, checked on update only) and each read
+// scans all of them.
+struct BruteForceExtremum {
+  std::int64_t window;
+  bool is_max;
+  std::vector<std::pair<std::int64_t, double>> samples;
+
+  void update(std::int64_t key, double v) {
+    samples.emplace_back(key, v);
+    std::erase_if(samples,
+                  [&](const auto& s) { return s.first < key - window; });
+  }
+  [[nodiscard]] double get() const {
+    double best = is_max ? 0.0 : std::numeric_limits<double>::infinity();
+    for (const auto& [key, v] : samples) {
+      best = is_max ? std::max(best, v) : std::min(best, v);
+    }
+    return best;
+  }
+};
+
+TEST(WindowedFilters, MatchBruteForceOracleOnRandomStreams) {
+  for (const std::int64_t window : {0, 1, 10}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed * 7919 + static_cast<std::uint64_t>(window));
+      WindowedMax max_filter(window);
+      WindowedMin min_filter(window);
+      BruteForceExtremum max_oracle{window, true, {}};
+      BruteForceExtremum min_oracle{window, false, {}};
+      std::int64_t key = 0;
+      for (int step = 0; step < 2000; ++step) {
+        const double action = rng.uniform();
+        if (action < 0.7) {
+          // Repeated keys (several samples per round) and a small value
+          // alphabet (ties) are the cases a monotonic deque can get wrong.
+          key += rng.chance(0.4) ? 0 : rng.uniform_int(1, 3);
+          const double v = static_cast<double>(rng.uniform_int(1, 12)) * 0.25;
+          max_filter.update(key, v);
+          min_filter.update(key, v);
+          max_oracle.update(key, v);
+          min_oracle.update(key, v);
+        } else if (action < 0.995) {
+          // Read only: get() between updates must not expire anything.
+        } else {
+          max_filter.reset();
+          min_filter.reset();
+          max_oracle.samples.clear();
+          min_oracle.samples.clear();
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(max_filter.get()),
+                  std::bit_cast<std::uint64_t>(max_oracle.get()))
+            << "max, window " << window << " seed " << seed << " step "
+            << step;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(min_filter.get()),
+                  std::bit_cast<std::uint64_t>(min_oracle.get()))
+            << "min, window " << window << " seed " << seed << " step "
+            << step;
+      }
+    }
+  }
 }
 
 TEST(Ewma, FirstSampleInitializes) {

@@ -1,6 +1,10 @@
 // Tests for capacity traces and the synthetic 5G generators.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "trace/gen5g.hpp"
 #include "trace/trace.hpp"
 
@@ -105,6 +109,12 @@ struct ProfileCase {
   double max_avg_mbps;
 };
 
+// Deterministic rendering for the test listing: gtest's default prints the
+// raw bytes of the struct, padding included.
+void PrintTo(const ProfileCase& pc, std::ostream* os) {
+  *os << to_string(pc.profile);
+}
+
 class FiveGProfileTest : public ::testing::TestWithParam<ProfileCase> {};
 
 TEST_P(FiveGProfileTest, AverageRateInCalibratedBand) {
@@ -128,7 +138,22 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         ProfileCase{FiveGProfile::kLowbandStationary, 35.0, 70.0},
         ProfileCase{FiveGProfile::kLowbandDriving, 12.0, 55.0},
-        ProfileCase{FiveGProfile::kMmWaveDriving, 80.0, 600.0}));
+        ProfileCase{FiveGProfile::kMmWaveDriving, 80.0, 600.0}),
+    [](const ::testing::TestParamInfo<ProfileCase>& param_info) {
+      // "lowband-driving" -> "LowbandDriving"
+      std::string name;
+      bool upper = true;
+      for (const char* c = to_string(param_info.param.profile); *c != '\0';
+           ++c) {
+        if (*c == '-') {
+          upper = true;
+        } else {
+          name += upper ? static_cast<char>(std::toupper(*c)) : *c;
+          upper = false;
+        }
+      }
+      return name;
+    });
 
 TEST(FiveGProfiles, DrivingHasOutages) {
   // The driving profile must contain windows where throughput collapses —

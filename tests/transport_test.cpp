@@ -2,7 +2,12 @@
 // RTT estimation, messages, datagrams, and connections.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "channel/profile.hpp"
+#include "core/scenario.hpp"
+#include "fault/fault.hpp"
 #include "net/node.hpp"
 #include "steer/basic_policies.hpp"
 #include "transport/bbr.hpp"
@@ -533,6 +538,66 @@ TEST(Connection, RequestResponseExchange) {
   EXPECT_GT(response_done, milliseconds(100));  // 2 RTT + transfer
   EXPECT_LT(response_done, milliseconds(600));
 }
+
+// ---- Loss paths under steering: RACK, dupack, RTO and the backoff probe ----
+
+// A 10 s bulk download over the Fig. 1 channel pair under DChannel, with
+// Bernoulli loss on eMBB, Gilbert-Elliott bursts on URLLC, and a 3 s
+// outage of both channels that forces an RTO and then the single-segment
+// backoff probe. The counts are pinned exactly: the sender's loss
+// bookkeeping (sent list, retransmit queue, loss marks) must not change
+// which segments go out or when.
+struct LossPathCase {
+  const char* cca;
+  std::int64_t packets_sent;
+  std::int64_t retransmissions;
+  std::int64_t rto_count;
+  std::int64_t spurious_loss_marks;
+  std::int64_t bytes_acked;
+};
+
+void PrintTo(const LossPathCase& c, std::ostream* os) { *os << c.cca; }
+
+class TcpLossPathTest : public ::testing::TestWithParam<LossPathCase> {};
+
+TEST_P(TcpLossPathTest, CountsArePinned) {
+  const LossPathCase& c = GetParam();
+  auto cfg = core::ScenarioConfig::fig1("dchannel");
+  cfg.channels[0].loss.bernoulli = 0.01;
+  cfg.channels[1].loss.ge_p_good_to_bad = 0.01;
+  cfg.channels[1].loss.ge_p_bad_to_good = 0.2;
+  cfg.channels[1].loss.ge_loss_in_bad = 0.5;
+  for (std::size_t ch = 0; ch < cfg.channels.size(); ++ch) {
+    fault::FaultEvent outage;
+    outage.channel = ch;
+    outage.start = seconds(4);
+    outage.duration = seconds(3);
+    cfg.faults.events.push_back(outage);
+  }
+  core::Scenario sc(cfg);
+  const auto flows = make_flow_pair();
+  TcpSender snd(sc.server(), flows, make_cca(c.cca));
+  TcpReceiver rcv(sc.client(), flows);
+  snd.write(sim::bytes_in(seconds(10), sim::gbps(2)));
+  sc.sim().run_until(seconds(10));
+
+  const auto& st = snd.stats();
+  EXPECT_EQ(st.packets_sent, c.packets_sent);
+  EXPECT_EQ(st.retransmissions, c.retransmissions);
+  EXPECT_EQ(st.rto_count, c.rto_count);
+  EXPECT_EQ(st.spurious_loss_marks, c.spurious_loss_marks);
+  EXPECT_EQ(st.bytes_acked, c.bytes_acked);
+  EXPECT_GE(st.rto_count, 2);  // the outage reaches the backoff probe
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ccas, TcpLossPathTest,
+    ::testing::Values(LossPathCase{"cubic", 1346, 61, 10, 5, 1870260},
+                      LossPathCase{"bbr", 1638, 40, 5, 9, 2333080},
+                      LossPathCase{"hvc", 9566, 142, 5, 265, 13716700}),
+    [](const ::testing::TestParamInfo<LossPathCase>& param_info) {
+      return std::string(param_info.param.cca);
+    });
 
 }  // namespace
 }  // namespace hvc::transport
