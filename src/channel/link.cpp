@@ -10,6 +10,12 @@ using net::PacketPtr;
 using sim::Duration;
 using sim::Time;
 
+const trace::CapacityTrace& default_capacity() {
+  static const trace::CapacityTrace kDefault =
+      trace::CapacityTrace::constant(sim::mbps(10));
+  return kDefault;
+}
+
 Link::Link(sim::Simulator& sim, LinkConfig cfg)
     : sim_(sim),
       cfg_(std::move(cfg)),
@@ -119,23 +125,42 @@ void Link::schedule_service() {
   });
 }
 
-// Same answer as cfg_.capacity.next_opportunity(t) — first opportunity
-// strictly after t — but via a cursor that only moves forward, since
-// schedule_service() queries at nondecreasing times. Amortized O(1) per
-// service where the trace's binary search pays O(log n) every call.
+void Link::TraceCursor::seek(const trace::CapacityTrace& trace, Time t) {
+  const std::vector<Time>& opps = trace.opportunities();
+  const Duration period = trace.period();
+  const Time cycle_base = (t / period) * period;
+  if (cycle_base != base) {
+    // New cycle (or, defensively, time moved backwards): rehome.
+    base = cycle_base;
+    idx = 0;
+  }
+  // Gallop forward, then binary-search the last bracket: O(1) when the
+  // cursor moves a few opportunities (a busy link), O(log d) when a
+  // sparse caller skips d of them on a dense trace.
+  const Time offset = t - base;
+  const std::size_t n = opps.size();
+  std::size_t step = 1;
+  while (idx + step <= n && opps[idx + step - 1] <= offset) {
+    idx += step;
+    step *= 2;
+  }
+  const auto first = opps.begin() + static_cast<std::ptrdiff_t>(idx);
+  const auto last =
+      opps.begin() + static_cast<std::ptrdiff_t>(std::min(idx + step, n));
+  idx = static_cast<std::size_t>(std::upper_bound(first, last, offset) -
+                                 opps.begin());
+}
+
+// Same answer as cfg_.capacity.next_opportunity(t): the first opportunity
+// strictly after t, i.e. the one just past the cursor.
 Time Link::next_opportunity_after(Time t) {
   const std::vector<Time>& opps = cfg_.capacity.opportunities();
   if (opps.empty()) return sim::kTimeNever;
-  const Duration period = cfg_.capacity.period();
-  const Time base = (t / period) * period;
-  if (base != opp_cycle_base_) {
-    // New cycle (or, defensively, time moved backwards): rehome.
-    opp_cycle_base_ = base;
-    opp_idx_ = 0;
+  service_.seek(cfg_.capacity, t);
+  if (service_.idx == opps.size()) {
+    return service_.base + cfg_.capacity.period() + opps.front();
   }
-  while (opp_idx_ < opps.size() && base + opps[opp_idx_] <= t) ++opp_idx_;
-  if (opp_idx_ == opps.size()) return base + period + opps.front();
-  return base + opps[opp_idx_];
+  return service_.base + opps[service_.idx];
 }
 
 void Link::on_opportunity() {
@@ -256,7 +281,18 @@ double Link::recent_delivery_rate_bps() const {
   if (recent_rate_at_ == sim_.now()) return recent_rate_bps_;
   constexpr sim::Duration kWindow = sim::milliseconds(200);
   const sim::Time to = std::max<sim::Time>(sim_.now(), kWindow);
-  const auto opps = cfg_.capacity.opportunities_in(to - kWindow, to);
+  // Same count as cfg_.capacity.opportunities_in(to - kWindow, to): each
+  // cursor's cycle * per-period + idx is the number of opportunities in
+  // [0, t], and both ends only move forward with sim time.
+  rate_from_.seek(cfg_.capacity, to - kWindow);
+  rate_to_.seek(cfg_.capacity, to);
+  const auto per_period =
+      static_cast<std::int64_t>(cfg_.capacity.opportunities_per_period());
+  const Duration period = cfg_.capacity.period();
+  const std::int64_t opps =
+      (rate_to_.base - rate_from_.base) / period * per_period +
+      static_cast<std::int64_t>(rate_to_.idx) -
+      static_cast<std::int64_t>(rate_from_.idx);
   recent_rate_at_ = sim_.now();
   recent_rate_bps_ = static_cast<double>(opps) *
                      static_cast<double>(cfg_.capacity.mtu_bytes()) * 8.0 /

@@ -35,9 +35,14 @@ enum class ServiceMode : std::uint8_t {
   kPacketPerOpportunity,
 };
 
+/// The constant 10 Mbps schedule that LinkConfig and ChannelProfile
+/// default to. Built once and shared, so a default-constructed config
+/// costs a refcount rather than a throwaway schedule.
+[[nodiscard]] const trace::CapacityTrace& default_capacity();
+
 struct LinkConfig {
   std::string name = "link";
-  trace::CapacityTrace capacity = trace::CapacityTrace::constant(sim::mbps(10));
+  trace::CapacityTrace capacity = default_capacity();
   sim::Duration prop_delay = sim::milliseconds(10);
   std::int64_t queue_limit_bytes = 2 * 1024 * 1024;
   LossConfig loss;
@@ -155,6 +160,17 @@ class Link {
                  static_cast<std::uint32_t>(p.size_bytes));
     }
   }
+  // Forward-only position in the looping capacity trace: `idx` counts the
+  // opportunities of the cycle starting at `base` that are <= the last
+  // time seeked to. Links query at nondecreasing sim times, so a seek
+  // only searches the stretch it skips, where the trace's binary search
+  // pays O(log n) over the whole trace on every call.
+  struct TraceCursor {
+    sim::Time base = 0;
+    std::size_t idx = 0;
+    void seek(const trace::CapacityTrace& trace, sim::Time t);
+  };
+
   void schedule_service();
   [[nodiscard]] sim::Time next_opportunity_after(sim::Time t);
   void on_opportunity();
@@ -176,11 +192,11 @@ class Link {
   // cache. The fault setters invalidate it (same-timestamp safety).
   mutable sim::Time recent_rate_at_ = -1;
   mutable double recent_rate_bps_ = 0.0;
-  // Monotonic cursor over the capacity trace: schedule_service() asks
-  // for the next opportunity at nondecreasing sim times, so a cursor
-  // beats the trace's binary search. (next_opportunity_after: link.cpp)
-  std::size_t opp_idx_ = 0;
-  sim::Time opp_cycle_base_ = 0;
+  // The two ends of recent_delivery_rate_bps()'s window.
+  mutable TraceCursor rate_from_;
+  mutable TraceCursor rate_to_;
+  // schedule_service()'s position (next_opportunity_after: link.cpp).
+  TraceCursor service_;
   double fault_rate_acc_ = 0.0;
   sim::Duration fault_extra_delay_ = 0;
   std::optional<LossModel> episode_loss_;

@@ -17,10 +17,8 @@ namespace hvc::channel {
 
 struct ChannelProfile {
   std::string name = "channel";
-  trace::CapacityTrace capacity_down =
-      trace::CapacityTrace::constant(sim::mbps(10));
-  trace::CapacityTrace capacity_up =
-      trace::CapacityTrace::constant(sim::mbps(10));
+  trace::CapacityTrace capacity_down = default_capacity();
+  trace::CapacityTrace capacity_up = default_capacity();
   sim::Duration owd = sim::milliseconds(10);  ///< one-way propagation delay
   std::int64_t queue_limit_bytes = 2 * 1024 * 1024;
   LossConfig loss;

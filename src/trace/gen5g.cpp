@@ -29,7 +29,12 @@ CapacityTrace generate_markov_trace(const MarkovRateModel& model,
   Time now = 0;
   Time state_until = 0;
   double byte_credit = 0.0;
-  std::vector<Time> opps;
+  // Opportunities granted per step. The RNG walk runs first and the
+  // opportunity times are laid out after it, so the output vector is
+  // sized once (per-step counts are exact; the last step may overhang
+  // `duration`, which makes the total an upper bound).
+  std::vector<std::int64_t> step_counts;
+  std::int64_t total = 0;
 
   auto draw_dwell = [&](const RateState& s) -> Duration {
     auto d = static_cast<Duration>(
@@ -70,12 +75,21 @@ CapacityTrace generate_markov_trace(const MarkovRateModel& model,
                                              static_cast<double>(mtu)) -
                    static_cast<std::int64_t>(before /
                                              static_cast<double>(mtu));
+    step_counts.push_back(n);
+    total += n;
+    now += model.step;
+  }
+
+  std::vector<Time> opps;
+  opps.reserve(static_cast<std::size_t>(total));
+  Time step_start = 0;
+  for (const std::int64_t n : step_counts) {
     for (std::int64_t i = 0; i < n; ++i) {
-      const Time at =
-          now + model.step * (i + 1) / (n + 1);  // spaced within the step
+      // Spaced evenly within the step.
+      const Time at = step_start + model.step * (i + 1) / (n + 1);
       if (at < duration) opps.push_back(at);
     }
-    now += model.step;
+    step_start += model.step;
   }
   return CapacityTrace::from_opportunities(std::move(opps), duration, mtu);
 }

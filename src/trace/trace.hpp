@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,21 +21,24 @@ using sim::Duration;
 using sim::RateBps;
 using sim::Time;
 
+/// Immutable once built: copies share one opportunity vector, so passing a
+/// multi-MB 5G trace through profiles, configs and links costs a refcount.
 class CapacityTrace {
  public:
   /// A constant-rate link expressed as evenly spaced opportunities.
   static CapacityTrace constant(RateBps rate, Duration period = sim::seconds(1),
                                 std::int64_t mtu = 1500);
 
-  /// Build from explicit opportunity times in [0, period). Times are
-  /// sorted; duplicates are allowed (multiple MTUs in one instant).
+  /// Build from explicit opportunity times in [0, period). Unsorted input
+  /// is sorted; duplicates are allowed (multiple MTUs in one instant).
   static CapacityTrace from_opportunities(std::vector<Time> opportunities,
                                           Duration period,
                                           std::int64_t mtu = 1500);
 
   /// Parse Mahimahi's trace format: one millisecond timestamp per line,
   /// each granting one MTU delivery; the last timestamp defines the loop
-  /// period. Throws std::invalid_argument on malformed input.
+  /// period. Throws std::invalid_argument ("mahimahi trace: line N: ...")
+  /// on malformed input.
   static CapacityTrace parse_mahimahi(const std::string& text,
                                       std::int64_t mtu = 1500);
 
@@ -52,10 +56,10 @@ class CapacityTrace {
   [[nodiscard]] std::int64_t mtu_bytes() const { return mtu_; }
   [[nodiscard]] Duration period() const { return period_; }
   [[nodiscard]] std::size_t opportunities_per_period() const {
-    return opportunities_.size();
+    return opportunities_->size();
   }
   [[nodiscard]] const std::vector<Time>& opportunities() const {
-    return opportunities_;
+    return *opportunities_;
   }
 
   /// Long-run average rate implied by the trace.
@@ -66,9 +70,12 @@ class CapacityTrace {
   [[nodiscard]] double min_windowed_rate_bps(Duration window) const;
 
  private:
-  CapacityTrace() = default;
+  CapacityTrace(std::vector<Time> opportunities, Duration period,
+                std::int64_t mtu);
 
-  std::vector<Time> opportunities_;  // sorted, within [0, period_)
+  // Sorted, within [0, period_); shared by every copy. Null only in a
+  // moved-from trace.
+  std::shared_ptr<const std::vector<Time>> opportunities_;
   Duration period_ = sim::seconds(1);
   std::int64_t mtu_ = 1500;
 };

@@ -2,6 +2,7 @@
 // models, and channel profiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "channel/channel.hpp"
@@ -9,6 +10,7 @@
 #include "channel/loss.hpp"
 #include "channel/profile.hpp"
 #include "net/packet.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
 namespace hvc::channel {
@@ -267,6 +269,67 @@ TEST(Link, TraceDrivenOutageStallsDelivery) {
   s.run();
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_GE(arrivals[0], milliseconds(600));
+}
+
+TEST(Link, RecentDeliveryRateMatchesTraceCountOracle) {
+  // recent_delivery_rate_bps() counts its 200 ms window with cursors that
+  // only move forward; the trace's binary-search count is the oracle.
+  // Queries come at nondecreasing times: bursts at one instant, short
+  // steps, period wraps and idle gaps longer than the 700 ms period, with
+  // the outage and rate-cliff knobs toggled between queries. Opportunities
+  // and queries share a 1 ms grid, so window ends often land exactly on
+  // an opportunity (the (from, to] boundary cases).
+  constexpr sim::Duration kPeriod = milliseconds(700);
+  constexpr sim::Duration kWindow = milliseconds(200);
+  sim::Rng rng(2024);
+  std::vector<sim::Time> opps;
+  for (int i = 0; i < 300; ++i) {
+    opps.push_back(milliseconds(rng.uniform_int(0, 699)));
+    // Clusters: several MTUs at one instant.
+    if (rng.chance(0.2)) opps.push_back(opps.back());
+  }
+  LinkConfig cfg;
+  cfg.capacity = trace::CapacityTrace::from_opportunities(opps, kPeriod);
+  sim::Simulator s;
+  Link link(s, cfg);
+
+  const auto check = [&] {
+    const sim::Time to = std::max<sim::Time>(s.now(), kWindow);
+    const double expected =
+        link.fault_down()
+            ? 0.0
+            : static_cast<double>(
+                  cfg.capacity.opportunities_in(to - kWindow, to)) *
+                  1500.0 * 8.0 / sim::to_seconds(kWindow) *
+                  link.fault_rate_scale();
+    EXPECT_DOUBLE_EQ(link.recent_delivery_rate_bps(), expected)
+        << "at " << s.now();
+  };
+  sim::Time t = 0;
+  int checks = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const double u = rng.uniform();
+    if (u < 0.7) {
+      t += milliseconds(rng.uniform_int(1, 30));
+    } else if (u < 0.9) {
+      t += milliseconds(rng.uniform_int(100, 700));
+    } else if (u < 0.97) {
+      t += milliseconds(rng.uniform_int(701, 2800));  // idle gap
+    }  // else: another query at the same instant
+    const double fault = rng.uniform();
+    s.at(t, [&, fault] {
+      check();
+      if (fault < 0.05) {
+        link.fault_set_down(!link.fault_down());
+      } else if (fault < 0.10) {
+        link.fault_set_rate_scale(fault < 0.075 ? 0.5 : 1.0);
+      }
+      check();  // same timestamp, after any toggle
+      ++checks;
+    });
+  }
+  s.run();
+  EXPECT_EQ(checks, 3000);
 }
 
 }  // namespace

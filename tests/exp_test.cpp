@@ -317,6 +317,29 @@ TEST(ExpRunner, MatchesDirectCoreRun) {
                    static_cast<double>(direct.retransmissions));
 }
 
+TEST(ExpRunner, TraceStorageIsSharedFromProfileToLink) {
+  // A 5G trace is megabytes of opportunities; it travels profile →
+  // ScenarioConfig → HvcSet → Channel → LinkConfig → Link. Every hop must
+  // share the one vector, never deep-copy it.
+  const auto spec = exp::ScenarioSpec::from_json_text(R"({
+    "workload": "video", "duration_s": 5, "seed": 3,
+    "channels": [{"type": "5g", "profile": "lowband-driving"},
+                 {"type": "urllc"}],
+    "policy": "dchannel"
+  })");
+  const auto cfg = exp::build_scenario_config(spec);
+  core::Scenario scenario(cfg);
+  auto& ch = scenario.network().channels().at(0);
+  const sim::Time* profile_down =
+      cfg.channels.at(0).capacity_down.opportunities().data();
+  ASSERT_GT(cfg.channels.at(0).capacity_down.opportunities_per_period(), 0u);
+  EXPECT_EQ(ch.downlink().config().capacity.opportunities().data(),
+            profile_down);
+  EXPECT_EQ(ch.profile().capacity_down.opportunities().data(), profile_down);
+  EXPECT_EQ(ch.uplink().config().capacity.opportunities().data(),
+            cfg.channels.at(0).capacity_up.opportunities().data());
+}
+
 TEST(ExpRunner, CapturesRunErrorsInsteadOfThrowing) {
   // Bypass the parser (which would reject this) to exercise the capture
   // path: an unknown CCA makes transport::make_cca throw mid-run.

@@ -3,7 +3,9 @@
 
 #include <cctype>
 #include <ostream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "trace/gen5g.hpp"
 #include "trace/trace.hpp"
@@ -57,6 +59,20 @@ TEST(CapacityTrace, FromOpportunitiesValidates) {
       CapacityTrace::from_opportunities({0, milliseconds(5)}, seconds(1)));
 }
 
+TEST(CapacityTrace, FromOpportunitiesSortsUnsortedInput) {
+  const auto t = CapacityTrace::from_opportunities(
+      {milliseconds(7), 0, milliseconds(3), milliseconds(3)}, seconds(1));
+  const std::vector<sim::Time> sorted = {0, milliseconds(3), milliseconds(3),
+                                         milliseconds(7)};
+  EXPECT_EQ(t.opportunities(), sorted);
+  EXPECT_EQ(t.next_opportunity(0), milliseconds(3));
+  EXPECT_EQ(t.opportunities_in(0, milliseconds(5)), 2);
+  // Range validation sees the sorted extremes, not the input's ends.
+  EXPECT_THROW(CapacityTrace::from_opportunities(
+                   {milliseconds(1), seconds(1), 0}, seconds(1)),
+               std::invalid_argument);
+}
+
 TEST(CapacityTrace, EmptyTraceNeverDelivers) {
   const auto t = CapacityTrace::from_opportunities({}, seconds(1));
   EXPECT_EQ(t.next_opportunity(0), sim::kTimeNever);
@@ -75,6 +91,48 @@ TEST(Mahimahi, RejectsMalformedInput) {
   EXPECT_THROW(CapacityTrace::parse_mahimahi(""), std::invalid_argument);
   EXPECT_THROW(CapacityTrace::parse_mahimahi("5\n3\n"),
                std::invalid_argument);
+}
+
+// The message parse_mahimahi rejects `text` with; fails the test if it
+// accepts the text or throws anything but std::invalid_argument.
+std::string mahimahi_error(const std::string& text) {
+  try {
+    (void)CapacityTrace::parse_mahimahi(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "accepted: " << text;
+  return "";
+}
+
+TEST(Mahimahi, RejectsBadLinesWithTheirLineNumber) {
+  // Trailing garbage after the number.
+  EXPECT_EQ(mahimahi_error("1\n12abc\n"),
+            "mahimahi trace: line 2: trailing characters: '12abc'");
+  // Not a number at all; comment lines still count toward the line number.
+  EXPECT_EQ(mahimahi_error("# header\n1\nabc\n"),
+            "mahimahi trace: line 3: not a number: 'abc'");
+  // Too long for int64: must stay inside the invalid_argument contract.
+  EXPECT_EQ(mahimahi_error("99999999999999999999\n"),
+            "mahimahi trace: line 1: timestamp out of range: "
+            "'99999999999999999999'");
+  // Fits int64 but not as nanoseconds (>= 2^63 / 1e6 ms).
+  EXPECT_EQ(mahimahi_error("1\n9223372036854\n"),
+            "mahimahi trace: line 2: timestamp out of range: "
+            "'9223372036854'");
+  EXPECT_EQ(mahimahi_error("-4\n"), "mahimahi trace: line 1: negative time");
+  EXPECT_EQ(mahimahi_error("5\n\n3\n"),
+            "mahimahi trace: line 3: non-monotonic timestamps");
+}
+
+TEST(Mahimahi, AcceptsLargestRepresentableTimestampAndTrailingSpace) {
+  // The largest timestamp whose period, (ms + 1) ms, fits in sim::Time.
+  const auto t = CapacityTrace::parse_mahimahi("0\n9223372036853\n");
+  EXPECT_EQ(t.period(), milliseconds(9223372036854));
+  // CRLF line endings and trailing blanks are whitespace, not garbage.
+  EXPECT_EQ(CapacityTrace::parse_mahimahi("1 \r\n2\t\n")
+                .opportunities_per_period(),
+            2u);
 }
 
 TEST(Mahimahi, SkipsComments) {
