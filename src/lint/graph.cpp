@@ -5,34 +5,14 @@
 
 namespace hvc::lint {
 
-namespace {
-
-std::string normalize(const std::string& path) {
-  std::string p = path;
-  std::replace(p.begin(), p.end(), '\\', '/');
-  while (p.rfind("./", 0) == 0) p.erase(0, 2);
-  return p;
-}
-
-/// True when `path` is `suffix` or ends with "/<suffix>".
-bool path_matches(const std::string& path, const std::string& suffix) {
-  if (path == suffix) return true;
-  if (path.size() <= suffix.size()) return false;
-  return path.compare(path.size() - suffix.size(), suffix.size(),
-                      suffix) == 0 &&
-         path[path.size() - suffix.size() - 1] == '/';
-}
-
-}  // namespace
-
-Index build_index(const std::vector<const TokenCache::FileData*>& files) {
+Index build_index(const std::vector<FileData>& files) {
   Index idx;
-  idx.files = files;
+  for (const FileData& fd : files) idx.files.push_back(&fd);
   std::sort(idx.files.begin(), idx.files.end(),
-            [](const TokenCache::FileData* a, const TokenCache::FileData* b) {
+            [](const FileData* a, const FileData* b) {
               return a->path < b->path;
             });
-  for (const TokenCache::FileData* fd : idx.files) {
+  for (const FileData* fd : idx.files) {
     for (const auto& f : fd->summary.functions) {
       idx.functions_by_name[f.name].push_back(&f);
     }
@@ -152,68 +132,6 @@ std::map<const FunctionSummary*, int> CallGraph::within_depth(
     }
   }
   return dist;
-}
-
-IncludeGraph::IncludeGraph(
-    const std::vector<const TokenCache::FileData*>& files) {
-  std::vector<std::string> paths;
-  paths.reserve(files.size());
-  for (const TokenCache::FileData* fd : files) {
-    paths.push_back(normalize(fd->path));
-  }
-  all_ = paths;
-  for (const TokenCache::FileData* fd : files) {
-    const std::string from = normalize(fd->path);
-    for (const std::string& inc : fd->includes) {
-      const std::string target = normalize(inc);
-      for (std::size_t i = 0; i < paths.size(); ++i) {
-        if (path_matches(paths[i], target)) {
-          fwd_[from].push_back(files[i]->path);
-          rev_[paths[i]].push_back(fd->path);
-        }
-      }
-    }
-  }
-}
-
-std::set<std::string> IncludeGraph::affected(
-    const std::vector<std::string>& changed) const {
-  std::set<std::string> out;
-  std::deque<std::string> work;
-  // Seed: every indexed file the changed paths suffix-match (an indexed
-  // path may be absolute while git reports repo-relative names).
-  for (const std::string& path : all_) {
-    for (const std::string& ch : changed) {
-      const std::string n = normalize(ch);
-      if (path_matches(path, n) || path_matches(n, path)) {
-        if (out.insert(path).second) work.push_back(path);
-      }
-    }
-  }
-  // Changed files outside the linted roots still seed the closure (a
-  // header two directories up can have reverse-dependents here).
-  for (const std::string& ch : changed) {
-    const std::string n = normalize(ch);
-    if (out.insert(n).second) work.push_back(n);
-  }
-  while (!work.empty()) {
-    const std::string path = work.front();
-    work.pop_front();
-    const auto it = rev_.find(normalize(path));
-    if (it == rev_.end()) continue;
-    for (const std::string& dep : it->second) {
-      const std::string n = normalize(dep);
-      if (out.insert(n).second) work.push_back(n);
-    }
-  }
-  return out;
-}
-
-const std::vector<std::string>& IncludeGraph::includes_of(
-    const std::string& path) const {
-  static const std::vector<std::string> kEmpty;
-  const auto it = fwd_.find(normalize(path));
-  return it == fwd_.end() ? kEmpty : it->second;
 }
 
 }  // namespace hvc::lint

@@ -5,8 +5,6 @@
 //                containers, each indexed by unqualified name)
 //   CallGraph    name-based call resolution + worker reachability /
 //                bounded-depth closures (R9, R11)
-//   IncludeGraph quoted-#include edges with suffix-based resolution and
-//                reverse-dependent closure (hvc_lint --diff)
 //
 // Resolution is by *name*, not by type: a call `f(x)` links to every
 // indexed function named `f`, with same-file definitions preferred when
@@ -24,11 +22,11 @@
 
 namespace hvc::lint {
 
-/// Repo-wide symbol tables over a set of indexed files. Pointers borrow
-/// from the TokenCache entries passed to build_index — keep the cache
-/// alive for the Index's lifetime.
+/// Repo-wide symbol tables over a set of analyzed files. Pointers borrow
+/// from the FileData passed to build_index — keep it alive for the
+/// Index's lifetime.
 struct Index {
-  std::vector<const TokenCache::FileData*> files;  ///< sorted by path
+  std::vector<const FileData*> files;  ///< sorted by path
   std::map<std::string, std::vector<const FunctionSummary*>>
       functions_by_name;
   std::map<std::string, std::vector<const GlobalVar*>> globals_by_name;
@@ -36,8 +34,7 @@ struct Index {
       containers_by_name;
 };
 
-[[nodiscard]] Index build_index(
-    const std::vector<const TokenCache::FileData*>& files);
+[[nodiscard]] Index build_index(const std::vector<FileData>& files);
 
 /// Resolve `name` as seen from `file`: definitions in the same file win
 /// (a fixture tree holds many unrelated `helper()`s; the local one is
@@ -80,32 +77,6 @@ class CallGraph {
 
  private:
   const Index& idx_;
-};
-
-/// The quoted-#include graph. An include `"lint/lint.hpp"` resolves to
-/// the indexed file whose normalized path ends with `/lint/lint.hpp`
-/// (or equals it) — the repo compiles with -I src, so suffix matching
-/// against the indexed set is exact in practice.
-class IncludeGraph {
- public:
-  explicit IncludeGraph(
-      const std::vector<const TokenCache::FileData*>& files);
-
-  /// Files affected by a change to `changed`: the changed files
-  /// themselves plus every transitive reverse-includer. Paths are
-  /// matched by normalized suffix, so git-relative names ("src/x.hpp")
-  /// match indexed names ("./src/x.hpp"). Cycle-safe.
-  [[nodiscard]] std::set<std::string> affected(
-      const std::vector<std::string>& changed) const;
-
-  /// Resolved forward edges of one file (empty when none).
-  [[nodiscard]] const std::vector<std::string>& includes_of(
-      const std::string& path) const;
-
- private:
-  std::vector<std::string> all_;  ///< every indexed path, normalized
-  std::map<std::string, std::vector<std::string>> fwd_;
-  std::map<std::string, std::vector<std::string>> rev_;
 };
 
 }  // namespace hvc::lint

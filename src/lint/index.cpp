@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#include "obs/json.hpp"
 
 namespace hvc::lint {
 
@@ -195,25 +190,19 @@ FileSuppressions collect_suppressions(const std::string& path,
     } else {
       findings->push_back({path, line, kAllowUnknownRule, Severity::kError,
                            "unrecognized hvc-lint directive (expected "
-                           "allow(<rule>) or allow-file(<rule>))",
-                           {},
-                           0});
+                           "allow(<rule>) or allow-file(<rule>))"});
       continue;
     }
     rest = trim(rest);
     if (rest.empty() || rest.front() != '(') {
       findings->push_back({path, line, kAllowUnknownRule, Severity::kError,
-                           "malformed allow: expected (<rule>[,<rule>...])",
-                           {},
-                           0});
+                           "malformed allow: expected (<rule>[,<rule>...])"});
       continue;
     }
     const std::size_t close = rest.find(')');
     if (close == std::string_view::npos) {
       findings->push_back({path, line, kAllowUnknownRule, Severity::kError,
-                           "malformed allow: missing ')'",
-                           {},
-                           0});
+                           "malformed allow: missing ')'"});
       continue;
     }
     const std::string_view rule_list = rest.substr(1, close - 1);
@@ -240,9 +229,7 @@ FileSuppressions collect_suppressions(const std::string& path,
       findings->push_back(
           {path, line, kAllowNeedsJustification, Severity::kError,
            "allow() must carry a justification: \"// hvc-lint: "
-           "allow(rule): why this is provably safe\"",
-           {},
-           0});
+           "allow(rule): why this is provably safe\""});
       continue;
     }
 
@@ -256,9 +243,7 @@ FileSuppressions collect_suppressions(const std::string& path,
       if (rule.empty()) continue;
       if (!known_rule(rule)) {
         findings->push_back({path, line, kAllowUnknownRule, Severity::kError,
-                             "allow names unknown rule '" + rule + "'",
-                             {},
-                             0});
+                             "allow names unknown rule '" + rule + "'"});
         continue;
       }
       // R7: wallclock suppressions are themselves banned outside the
@@ -270,9 +255,7 @@ FileSuppressions collect_suppressions(const std::string& path,
             {path, line, "clock-island", Severity::kError,
              "allow(wallclock) outside the clock island (src/obs/prof*, "
              "bench/): call obs::prof::now_ns()/cycles() instead of "
-             "suppressing the wallclock ban locally",
-             {},
-             0});
+             "suppressing the wallclock ban locally"});
         continue;
       }
       if (file_scope) {
@@ -1123,473 +1106,15 @@ FileSummary summarize(const std::string& path,
   return out;
 }
 
-// ---- content hashing --------------------------------------------------
+// ---- per-file analysis ------------------------------------------------
 
-std::uint64_t content_hash(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (const char ch : text) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
-// ---- summary (de)serialization ----------------------------------------
-
-namespace {
-
-using obs::json::Value;
-
-Value jstr(const std::string& s) {
-  Value v;
-  v.kind = Value::Kind::kString;
-  v.str = s;
-  return v;
-}
-Value jnum(double d) {
-  Value v;
-  v.kind = Value::Kind::kNumber;
-  v.num = d;
-  return v;
-}
-Value jbool(bool b) {
-  Value v;
-  v.kind = Value::Kind::kBool;
-  v.boolean = b;
-  return v;
-}
-Value jarr() {
-  Value v;
-  v.kind = Value::Kind::kArray;
-  return v;
-}
-Value jobj() {
-  Value v;
-  v.kind = Value::Kind::kObject;
-  return v;
-}
-
-Value strings_to_json(const std::vector<std::string>& xs) {
-  Value a = jarr();
-  for (const auto& x : xs) a.array.push_back(jstr(x));
-  return a;
-}
-std::vector<std::string> strings_from_json(const Value* v) {
-  std::vector<std::string> out;
-  if (v == nullptr || !v->is_array()) return out;
-  for (const auto& e : v->array) {
-    if (e.is_string()) out.push_back(e.str);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string summary_to_json(const TokenCache::FileData& fd) {
-  Value root = jobj();
-  root.object["hash"] = jstr(std::to_string(fd.hash));
-  root.object["includes"] = strings_to_json(fd.includes);
-
-  Value fns = jarr();
-  for (const auto& f : fd.summary.functions) {
-    Value v = jobj();
-    v.object["name"] = jstr(f.name);
-    v.object["qualified"] = jstr(f.qualified);
-    v.object["owner"] = jstr(f.owner_class);
-    v.object["begin"] = jnum(f.line_begin);
-    v.object["end"] = jnum(f.line_end);
-    v.object["prof"] = jbool(f.has_prof_scope);
-    v.object["lock"] = jbool(f.has_lock);
-    Value calls = jarr();
-    for (const auto& cs : f.calls) {
-      Value e = jarr();
-      e.array.push_back(jstr(cs.name));
-      e.array.push_back(jnum(cs.line));
-      e.array.push_back(jbool(cs.member));
-      e.array.push_back(strings_to_json(cs.args));
-      calls.array.push_back(std::move(e));
-    }
-    v.object["calls"] = std::move(calls);
-    v.object["params"] = strings_to_json(f.params);
-    Value writes = jarr();
-    for (const auto& w : f.writes) {
-      Value e = jarr();
-      e.array.push_back(jstr(w.name));
-      e.array.push_back(jstr(w.qualifier));
-      e.array.push_back(jnum(w.line));
-      e.array.push_back(jnum((w.member_access ? 1 : 0) |
-                             (w.null_assign ? 2 : 0) |
-                             (w.this_assign ? 4 : 0)));
-      writes.array.push_back(std::move(e));
-    }
-    v.object["writes"] = std::move(writes);
-    Value allocs = jarr();
-    for (const auto& a : f.allocs) {
-      Value e = jarr();
-      e.array.push_back(jstr(a.what));
-      e.array.push_back(jnum(a.line));
-      allocs.array.push_back(std::move(e));
-    }
-    v.object["allocs"] = std::move(allocs);
-    v.object["locals"] = strings_to_json(
-        std::vector<std::string>(f.locals.begin(), f.locals.end()));
-    v.object["guarded"] = strings_to_json(std::vector<std::string>(
-        f.self_guarded.begin(), f.self_guarded.end()));
-    Value assigns = jarr();
-    for (const auto& a : f.assigns) {
-      Value e = jobj();
-      e.object["dst"] = jstr(a.dst);
-      e.object["ids"] = strings_to_json(a.rhs_idents);
-      e.object["calls"] = strings_to_json(a.rhs_calls);
-      e.object["line"] = jnum(a.line);
-      assigns.array.push_back(std::move(e));
-    }
-    v.object["assigns"] = std::move(assigns);
-    Value rets = jarr();
-    for (const auto& r : f.returns) {
-      Value e = jobj();
-      e.object["ids"] = strings_to_json(r.idents);
-      e.object["calls"] = strings_to_json(r.calls);
-      e.object["line"] = jnum(r.line);
-      rets.array.push_back(std::move(e));
-    }
-    v.object["returns"] = std::move(rets);
-    Value loops = jarr();
-    for (const auto& l : f.iter_loops) {
-      Value e = jobj();
-      e.object["container"] = jstr(l.container);
-      e.object["line"] = jnum(l.line);
-      e.object["writes"] = strings_to_json(l.writes);
-      loops.array.push_back(std::move(e));
-    }
-    v.object["loops"] = std::move(loops);
-    fns.array.push_back(std::move(v));
-  }
-  root.object["functions"] = std::move(fns);
-
-  Value globals = jarr();
-  for (const auto& g : fd.summary.globals) {
-    Value v = jobj();
-    v.object["name"] = jstr(g.name);
-    v.object["owner"] = jstr(g.owner);
-    v.object["line"] = jnum(g.line);
-    v.object["flags"] = jnum((g.is_thread_local ? 1 : 0) |
-                             (g.is_atomic ? 2 : 0) | (g.is_const ? 4 : 0) |
-                             (g.is_sync ? 8 : 0) | (g.is_pointer ? 16 : 0));
-    globals.array.push_back(std::move(v));
-  }
-  root.object["globals"] = std::move(globals);
-
-  Value containers = jarr();
-  for (const auto& cd : fd.summary.containers) {
-    Value v = jobj();
-    v.object["name"] = jstr(cd.name);
-    v.object["owner"] = jstr(cd.owner);
-    v.object["line"] = jnum(cd.line);
-    v.object["unordered"] = jbool(cd.unordered);
-    containers.array.push_back(std::move(v));
-  }
-  root.object["containers"] = std::move(containers);
-
-  Value allows = jarr();
-  for (const auto& [rule, line] : fd.allows.allows) {
-    Value e = jarr();
-    e.array.push_back(jstr(rule));
-    e.array.push_back(jnum(line));
-    allows.array.push_back(std::move(e));
-  }
-  root.object["allows"] = std::move(allows);
-  root.object["file_allows"] = strings_to_json(std::vector<std::string>(
-      fd.allows.file_allows.begin(), fd.allows.file_allows.end()));
-
-  Value dirs = jarr();
-  for (const auto& f : fd.directive_findings) {
-    Value e = jobj();
-    e.object["line"] = jnum(f.line);
-    e.object["rule"] = jstr(f.rule);
-    e.object["severity"] = jstr(severity_name(f.severity));
-    e.object["message"] = jstr(f.message);
-    dirs.array.push_back(std::move(e));
-  }
-  root.object["directives"] = std::move(dirs);
-
-  return obs::json::serialize(root);
-}
-
-bool summary_from_json(std::string_view json, TokenCache::FileData* fd) {
-  Value root;
-  if (!obs::json::parse(json, &root) || !root.is_object()) return false;
-  const Value* hash = root.find("hash");
-  if (hash == nullptr || !hash->is_string()) return false;
-  fd->hash = std::strtoull(hash->str.c_str(), nullptr, 10);
-  fd->includes = strings_from_json(root.find("includes"));
-
-  fd->summary = FileSummary{};
-  if (const Value* fns = root.find("functions"); fns != nullptr) {
-    for (const auto& v : fns->array) {
-      FunctionSummary f;
-      f.file = fd->path;
-      f.name = v.string_or("name", "");
-      f.qualified = v.string_or("qualified", "");
-      f.owner_class = v.string_or("owner", "");
-      f.line_begin = static_cast<int>(v.number_or("begin", 0));
-      f.line_end = static_cast<int>(v.number_or("end", 0));
-      const Value* prof = v.find("prof");
-      f.has_prof_scope = prof != nullptr && prof->boolean;
-      const Value* lock = v.find("lock");
-      f.has_lock = lock != nullptr && lock->boolean;
-      if (const Value* calls = v.find("calls"); calls != nullptr) {
-        for (const auto& e : calls->array) {
-          if (e.array.size() < 4) continue;
-          f.calls.push_back({e.array[0].str,
-                             static_cast<int>(e.array[1].num),
-                             e.array[2].boolean,
-                             strings_from_json(&e.array[3])});
-        }
-      }
-      f.params = strings_from_json(v.find("params"));
-      if (const Value* writes = v.find("writes"); writes != nullptr) {
-        for (const auto& e : writes->array) {
-          if (e.array.size() < 4) continue;
-          WriteSite w;
-          w.name = e.array[0].str;
-          w.qualifier = e.array[1].str;
-          w.line = static_cast<int>(e.array[2].num);
-          const int flags = static_cast<int>(e.array[3].num);
-          w.member_access = (flags & 1) != 0;
-          w.null_assign = (flags & 2) != 0;
-          w.this_assign = (flags & 4) != 0;
-          f.writes.push_back(std::move(w));
-        }
-      }
-      if (const Value* allocs = v.find("allocs"); allocs != nullptr) {
-        for (const auto& e : allocs->array) {
-          if (e.array.size() < 2) continue;
-          f.allocs.push_back(
-              {e.array[0].str, static_cast<int>(e.array[1].num)});
-        }
-      }
-      for (const auto& l : strings_from_json(v.find("locals"))) {
-        f.locals.insert(l);
-      }
-      for (const auto& g : strings_from_json(v.find("guarded"))) {
-        f.self_guarded.insert(g);
-      }
-      if (const Value* assigns = v.find("assigns"); assigns != nullptr) {
-        for (const auto& e : assigns->array) {
-          AssignFact a;
-          a.dst = e.string_or("dst", "");
-          a.rhs_idents = strings_from_json(e.find("ids"));
-          a.rhs_calls = strings_from_json(e.find("calls"));
-          a.line = static_cast<int>(e.number_or("line", 0));
-          f.assigns.push_back(std::move(a));
-        }
-      }
-      if (const Value* rets = v.find("returns"); rets != nullptr) {
-        for (const auto& e : rets->array) {
-          ReturnFact r;
-          r.idents = strings_from_json(e.find("ids"));
-          r.calls = strings_from_json(e.find("calls"));
-          r.line = static_cast<int>(e.number_or("line", 0));
-          f.returns.push_back(std::move(r));
-        }
-      }
-      if (const Value* loops = v.find("loops"); loops != nullptr) {
-        for (const auto& e : loops->array) {
-          IterLoop l;
-          l.container = e.string_or("container", "");
-          l.line = static_cast<int>(e.number_or("line", 0));
-          l.writes = strings_from_json(e.find("writes"));
-          f.iter_loops.push_back(std::move(l));
-        }
-      }
-      fd->summary.functions.push_back(std::move(f));
-    }
-  }
-  if (const Value* globals = root.find("globals"); globals != nullptr) {
-    for (const auto& v : globals->array) {
-      GlobalVar g;
-      g.name = v.string_or("name", "");
-      g.owner = v.string_or("owner", "");
-      g.file = fd->path;
-      g.line = static_cast<int>(v.number_or("line", 0));
-      const int flags = static_cast<int>(v.number_or("flags", 0));
-      g.is_thread_local = (flags & 1) != 0;
-      g.is_atomic = (flags & 2) != 0;
-      g.is_const = (flags & 4) != 0;
-      g.is_sync = (flags & 8) != 0;
-      g.is_pointer = (flags & 16) != 0;
-      fd->summary.globals.push_back(std::move(g));
-    }
-  }
-  if (const Value* containers = root.find("containers");
-      containers != nullptr) {
-    for (const auto& v : containers->array) {
-      ContainerDecl cd;
-      cd.name = v.string_or("name", "");
-      cd.owner = v.string_or("owner", "");
-      cd.file = fd->path;
-      cd.line = static_cast<int>(v.number_or("line", 0));
-      const Value* u = v.find("unordered");
-      cd.unordered = u != nullptr && u->boolean;
-      fd->summary.containers.push_back(std::move(cd));
-    }
-  }
-  fd->allows = FileSuppressions{};
-  if (const Value* allows = root.find("allows"); allows != nullptr) {
-    for (const auto& e : allows->array) {
-      if (e.array.size() < 2) continue;
-      fd->allows.allows.insert(
-          {e.array[0].str, static_cast<int>(e.array[1].num)});
-    }
-  }
-  for (const auto& fa : strings_from_json(root.find("file_allows"))) {
-    fd->allows.file_allows.insert(fa);
-  }
-  fd->directive_findings.clear();
-  if (const Value* dirs = root.find("directives"); dirs != nullptr) {
-    for (const auto& e : dirs->array) {
-      Finding f;
-      f.file = fd->path;
-      f.line = static_cast<int>(e.number_or("line", 0));
-      f.rule = e.string_or("rule", "");
-      const std::string sev = e.string_or("severity", "error");
-      f.severity = sev == "note" ? Severity::kNote
-                   : sev == "warning" ? Severity::kWarning
-                                      : Severity::kError;
-      f.message = e.string_or("message", "");
-      fd->directive_findings.push_back(std::move(f));
-    }
-  }
-  return true;
-}
-
-// ---- TokenCache -------------------------------------------------------
-
-namespace {
-
-// Quoted includes only: angle includes are system headers, outside the
-// repo include graph. Parsed from the raw text (the scrub pass blanks
-// string contents, include targets included).
-std::vector<std::string> parse_includes_raw(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    std::string_view line(text.data() + pos, eol - pos);
-    line = trim(line);
-    if (line.rfind("#", 0) == 0) {
-      line.remove_prefix(1);
-      line = trim(line);
-      if (line.rfind("include", 0) == 0) {
-        line.remove_prefix(7);
-        line = trim(line);
-        if (!line.empty() && line.front() == '"') {
-          const std::size_t end = line.find('"', 1);
-          if (end != std::string_view::npos) {
-            out.emplace_back(line.substr(1, end - 1));
-          }
-        }
-      }
-    }
-    pos = eol + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
-const TokenCache::FileData& TokenCache::get(const std::string& path) {
-  auto it = files_.find(path);
-  if (it != files_.end()) {
-    ++stats_.memo_hits;
-    return it->second;
-  }
+FileData analyze(const std::string& path, std::string_view text) {
   FileData fd;
   fd.path = path;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    fd.readable = false;
-    return files_.emplace(path, std::move(fd)).first->second;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  fd.text = buf.str();
-  ++stats_.files_read;
-  fd.hash = content_hash(fd.text);
-
-  // Disk cache hit: restore the summary without tokenizing.
-  const auto dit = disk_.find(path);
-  if (dit != disk_.end() && dit->second.first == fd.hash) {
-    FileData restored;
-    restored.path = path;
-    if (summary_from_json(dit->second.second, &restored) &&
-        restored.hash == fd.hash) {
-      restored.text = std::move(fd.text);
-      ++stats_.disk_cache_hits;
-      return files_.emplace(path, std::move(restored)).first->second;
-    }
-  }
-
-  fd.scrubbed = scrub(fd.text);
-  fd.tokens = tokenize(fd.scrubbed);
-  fd.tokens_ready = true;
-  ++stats_.tokenizations;
-  fd.includes = parse_includes_raw(fd.text);
+  fd.scrubbed = scrub(text);
   fd.allows = collect_suppressions(path, fd.scrubbed, &fd.directive_findings);
-  fd.summary = summarize(path, fd.tokens);
-  return files_.emplace(path, std::move(fd)).first->second;
-}
-
-const TokenCache::FileData& TokenCache::ensure_tokens(
-    const std::string& path) {
-  const FileData& fd0 = get(path);
-  if (fd0.tokens_ready || !fd0.readable) return fd0;
-  FileData& fd = files_[path];
-  fd.scrubbed = scrub(fd.text);
-  fd.tokens = tokenize(fd.scrubbed);
-  fd.tokens_ready = true;
-  ++stats_.tokenizations;
+  fd.summary = summarize(path, tokenize(fd.scrubbed));
   return fd;
-}
-
-void TokenCache::load_index_cache(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  obs::json::Value root;
-  if (!obs::json::parse(buf.str(), &root) || !root.is_object()) return;
-  const obs::json::Value* files = root.find("files");
-  if (files == nullptr || !files->is_object()) return;
-  for (const auto& [fpath, entry] : files->object) {
-    if (!entry.is_object()) continue;
-    const obs::json::Value* hash = entry.find("hash");
-    const obs::json::Value* summary = entry.find("summary");
-    if (hash == nullptr || !hash->is_string() || summary == nullptr ||
-        !summary->is_string()) {
-      continue;
-    }
-    disk_[fpath] = {std::strtoull(hash->str.c_str(), nullptr, 10),
-                    summary->str};
-  }
-}
-
-void TokenCache::save_index_cache(const std::string& path) const {
-  std::string out = "{\"hvc-lint-index\":1,\"files\":{";
-  bool first = true;
-  for (const auto& [fpath, fd] : files_) {
-    if (!fd.readable) continue;
-    if (!first) out += ',';
-    first = false;
-    out += obs::json::quote(fpath) + ":{\"hash\":" +
-           obs::json::quote(std::to_string(fd.hash)) +
-           ",\"summary\":" + obs::json::quote(summary_to_json(fd)) + "}";
-  }
-  out += "}}";
-  std::ofstream f(path, std::ios::binary);
-  f << out;
 }
 
 }  // namespace hvc::lint

@@ -2,12 +2,10 @@
 // dependency-free C++ indexer that turns every file into a token stream
 // plus a *file summary* — function definitions with their call sites,
 // writes, allocation sites and taint facts; global/static variable
-// declarations with their thread-safety qualifiers; container-typed
-// declarations; and the file's #include list. The cross-TU passes
-// (graph.hpp, rules_semantic.hpp) run entirely over these summaries, so
-// a file whose content hash is unchanged never needs re-tokenizing —
-// the TokenCache memoizes per-file work in memory and can persist it to
-// an index-cache JSON file keyed on content hashes.
+// declarations with their thread-safety qualifiers; and container-typed
+// declarations. The cross-TU passes (graph.hpp, rules_semantic.hpp) run
+// entirely over these summaries; lint_tree builds one FileData per file,
+// once per run.
 //
 // Soundness: this is a heuristic parser, not a compiler. It has no
 // preprocessor (macro bodies are seen as written; conditional-compilation
@@ -19,8 +17,6 @@
 // list.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -187,73 +183,26 @@ struct FileSummary {
 };
 
 /// Summarize one tokenized file. Exposed for unit tests; production code
-/// goes through TokenCache.
+/// goes through analyze().
 [[nodiscard]] FileSummary summarize(const std::string& path,
                                     const std::vector<Token>& tokens);
 
-// ---- memoized per-file analysis ---------------------------------------
+// ---- per-file analysis ------------------------------------------------
 
-/// FNV-1a over the file bytes; the index-cache key.
-[[nodiscard]] std::uint64_t content_hash(std::string_view text);
-
-/// Everything the engine ever derives from one file, computed at most
-/// once per process (the PR-4-era scanner re-read and re-tokenized each
-/// header once per including TU; every consumer now shares this cache).
-/// Entries restored from an on-disk index cache carry the summary,
-/// includes, and suppressions but no token stream; `ensure_tokens()`
-/// upgrades them on demand (only files that need the per-file R1–R8
-/// rules pay for it).
-class TokenCache {
- public:
-  struct FileData {
-    std::string path;
-    bool readable = true;
-    std::uint64_t hash = 0;
-    std::string text;
-    Scrubbed scrubbed;
-    std::vector<Token> tokens;
-    bool tokens_ready = false;
-    std::vector<std::string> includes;  ///< quoted includes, as written
-    FileSummary summary;
-    FileSuppressions allows;
-    std::vector<Finding> directive_findings;
-  };
-
-  TokenCache() = default;
-
-  /// Memoized per-file analysis. Never returns null; unreadable files
-  /// come back with readable=false.
-  const FileData& get(const std::string& path);
-
-  /// Re-run tokenization for a cache-restored entry (no-op otherwise).
-  const FileData& ensure_tokens(const std::string& path);
-
-  /// Load/save the on-disk index cache: {"files": {path: {"hash": h,
-  /// "summary": ...}}}. Load is best-effort (a missing or stale file is
-  /// simply a cold cache); entries are validated against the current
-  /// content hash at get() time.
-  void load_index_cache(const std::string& path);
-  void save_index_cache(const std::string& path) const;
-
-  struct Stats {
-    int files_read = 0;
-    int tokenizations = 0;
-    int memo_hits = 0;        ///< get() served from in-memory memo
-    int disk_cache_hits = 0;  ///< summaries restored from the index cache
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
- private:
-  std::map<std::string, FileData> files_;
-  /// path -> (hash, serialized summary JSON) restored from disk.
-  std::map<std::string, std::pair<std::uint64_t, std::string>> disk_;
-  Stats stats_;
+/// Everything the engine derives from one file: the scrubbed view the
+/// per-file rules walk, its suppressions (plus the findings about
+/// malformed directives), and the semantic summary.
+struct FileData {
+  std::string path;
+  Scrubbed scrubbed;
+  FileSuppressions allows;
+  std::vector<Finding> directive_findings;
+  FileSummary summary;
 };
 
-/// Serialize/deserialize one FileSummary (+ includes + suppressions) for
-/// the on-disk index cache. Exposed for round-trip tests.
-[[nodiscard]] std::string summary_to_json(const TokenCache::FileData& fd);
-[[nodiscard]] bool summary_from_json(std::string_view json,
-                                     TokenCache::FileData* fd);
+/// Scrub, tokenize and summarize one file's text and parse its
+/// suppression directives.
+[[nodiscard]] FileData analyze(const std::string& path,
+                               std::string_view text);
 
 }  // namespace hvc::lint

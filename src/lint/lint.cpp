@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -98,9 +99,7 @@ void check_wallclock(const std::string& path, const Scrubbed& sc,
              std::string(pat.what) +
                  ": wall-clock/entropy source in simulation code (derive "
                  "time from sim::Simulator and randomness from sim::Rng so "
-                 "runs stay reproducible)",
-             {},
-             0});
+                 "runs stay reproducible)"});
       }
       at = end;
     }
@@ -129,9 +128,7 @@ void check_unordered(const std::string& path, const Scrubbed& sc,
                  ": iteration order is unspecified, so any traversal "
                  "feeding an export or steering decision is a latent "
                  "nondeterminism bug; use std::map/std::set, sort before "
-                 "export, or allow-tag with a proof of order-independence",
-             {},
-             0});
+                 "export, or allow-tag with a proof of order-independence"});
       }
       at = end;
     }
@@ -267,9 +264,7 @@ void check_steer_reasons(const std::string& path, const Scrubbed& sc,
              Severity::kError,
              "return in a steer() implementation without an audit reason "
              "tag (set Decision::reason on every exit path so the "
-             "steering-decision audit log stays complete)",
-             {},
-             0});
+             "steering-decision audit log stays complete)"});
       }
       r = semi == std::string::npos ? body.size() : semi;
     }
@@ -306,9 +301,7 @@ void check_new_delete(const std::string& path, const Scrubbed& sc,
             {path, sc.line_of(at), "raw-new-delete", Severity::kError,
              "raw " + std::string(kw) +
                  ": ownership goes through std::unique_ptr / containers "
-                 "in this codebase (leaks in long sweep runs are silent)",
-             {},
-             0});
+                 "in this codebase (leaks in long sweep runs are silent)"});
       }
       at = end;
     }
@@ -396,9 +389,7 @@ void check_float_equality(const std::string& path, const Scrubbed& sc,
           {path, sc.line_of(i), "float-equality", Severity::kWarning,
            "floating-point ==/!= comparison: metric values must be "
            "compared with an ordering or an explicit tolerance (exact "
-           "equality is representation-dependent)",
-           {},
-           0});
+           "equality is representation-dependent)"});
     }
     ++i;
   }
@@ -438,9 +429,7 @@ void check_std_hash(const std::string& path, const Scrubbed& sc,
          "std::hash: libstdc++ and libc++ hash the same value "
          "differently, so seeds/sampling keys derived from it diverge "
          "across platforms; use sim::fnv1a64 / sim::seed_mix "
-         "(sim/seed.hpp) instead",
-         {},
-         0});
+         "(sim/seed.hpp) instead"});
     at = end;
   }
 }
@@ -483,9 +472,7 @@ void check_header_self_sufficient(const std::string& path,
         {path, 1, "header-not-self-sufficient", Severity::kError,
          "header does not compile on its own (include what you use)" +
              (first_error.empty() ? std::string{}
-                                  : ": " + first_error),
-         {},
-         0});
+                                  : ": " + first_error)});
   }
   std::error_code ec;
   fs::remove(tu, ec);
@@ -501,40 +488,32 @@ void sort_findings(std::vector<Finding>* findings) {
                    });
 }
 
-/// The per-file rule battery (R1–R5, R8) over one scrubbed file;
-/// results are unsuppressed.
-void run_per_file_checks(const std::string& path, const Scrubbed& sc,
-                         std::vector<Finding>* raw) {
+/// The per-file pass over one analyzed file: its directive findings
+/// (never suppressible), then R1–R5 and R8 — plus R6 for headers under
+/// opts.compile_check — minus whatever its allow() directives silence.
+void lint_one(const FileData& fd, const Options& opts,
+              std::vector<Finding>* out) {
+  out->insert(out->end(), fd.directive_findings.begin(),
+              fd.directive_findings.end());
+  std::vector<Finding> raw;
   // The clock island may read host clocks freely; everywhere else R1
   // applies and (per R7) cannot be suppressed away.
-  if (!in_clock_island(path)) check_wallclock(path, sc, raw);
-  check_unordered(path, sc, raw);
-  check_steer_reasons(path, sc, raw);
-  check_new_delete(path, sc, raw);
-  check_float_equality(path, sc, raw);
-  check_std_hash(path, sc, raw);
-}
-
-std::string normalize_path(const std::string& path) {
-  std::string p = path;
-  std::replace(p.begin(), p.end(), '\\', '/');
-  while (p.rfind("./", 0) == 0) p.erase(0, 2);
-  return p;
-}
-
-/// True when `path` is `suffix` or ends with "/<suffix>" (either way
-/// around — baseline entries are repo-relative, findings may carry
-/// longer or shorter spellings of the same file).
-bool path_suffix_match(const std::string& a, const std::string& b) {
-  const std::string na = normalize_path(a);
-  const std::string nb = normalize_path(b);
-  if (na == nb) return true;
-  const auto ends_with = [](const std::string& hay, const std::string& s) {
-    return hay.size() > s.size() &&
-           hay.compare(hay.size() - s.size(), s.size(), s) == 0 &&
-           hay[hay.size() - s.size() - 1] == '/';
-  };
-  return ends_with(na, nb) || ends_with(nb, na);
+  if (!in_clock_island(fd.path)) check_wallclock(fd.path, fd.scrubbed, &raw);
+  check_unordered(fd.path, fd.scrubbed, &raw);
+  check_steer_reasons(fd.path, fd.scrubbed, &raw);
+  check_new_delete(fd.path, fd.scrubbed, &raw);
+  check_float_equality(fd.path, fd.scrubbed, &raw);
+  check_std_hash(fd.path, fd.scrubbed, &raw);
+  for (auto& f : raw) {
+    if (!fd.allows.suppressed(f.rule, f.line)) out->push_back(std::move(f));
+  }
+  // A file-scope allow silences R6 too (umbrella headers that need a
+  // specific include order would tag themselves; none do today).
+  const std::string ext = fs::path(fd.path).extension().string();
+  if (opts.compile_check && (ext == ".hpp" || ext == ".h") &&
+      !fd.allows.suppressed("header-not-self-sufficient", 1)) {
+    check_header_self_sufficient(fd.path, opts, out);
+  }
 }
 
 }  // namespace
@@ -588,162 +567,78 @@ bool known_rule(std::string_view name) {
 }
 
 std::vector<Finding> lint_source(const std::string& path,
-                                 std::string_view text,
-                                 const Options& /*opts*/) {
-  const Scrubbed sc = scrub(text);
-  std::vector<Finding> directives;
-  const FileSuppressions allows =
-      collect_suppressions(path, sc, &directives);
-
-  std::vector<Finding> raw;
-  run_per_file_checks(path, sc, &raw);
-
-  std::vector<Finding> out = std::move(directives);  // never suppressible
-  for (auto& f : raw) {
-    if (!allows.suppressed(f.rule, f.line)) out.push_back(std::move(f));
-  }
+                                 std::string_view text) {
+  std::vector<Finding> out;
+  lint_one(analyze(path, text), Options{}, &out);
   sort_findings(&out);
   return out;
 }
 
-std::vector<Finding> lint_file(const std::string& path, const Options& opts) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return {{path, 1, "io-error", Severity::kError, "cannot read file",
-             {}, 0}};
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::vector<Finding> out = lint_source(path, buf.str(), opts);
-
-  const bool is_header = path.size() >= 4 &&
-                         (path.rfind(".hpp") == path.size() - 4 ||
-                          path.rfind(".h") == path.size() - 2);
-  if (opts.compile_check && is_header) {
-    // A file-scope allow silences R6 too (umbrella headers that need a
-    // specific include order would tag themselves; none do today).
-    const Scrubbed sc = scrub(buf.str());
-    std::vector<Finding> scratch;
-    const FileSuppressions allows =
-        collect_suppressions(path, sc, &scratch);
-    if (!allows.suppressed("header-not-self-sufficient", 1)) {
-      check_header_self_sufficient(path, opts, &out);
-    }
-    sort_findings(&out);
-  }
-  return out;
-}
-
 std::vector<Finding> lint_tree(const std::vector<std::string>& roots,
-                               const Options& opts, TreeStats* stats) {
+                               const Options& opts) {
   Options effective = opts;
   if (effective.compile_check &&
       !compiler_available(effective.compiler)) {
     effective.compile_check = false;
   }
 
-  std::vector<std::string> files;
+  std::vector<Finding> out;
+  std::vector<std::string> paths;
   for (const auto& root : roots) {
     if (fs::is_regular_file(root)) {
-      files.push_back(root);
+      paths.push_back(root);
       continue;
     }
-    if (!fs::is_directory(root)) continue;
+    if (!fs::is_directory(root)) {
+      out.push_back({root, 1, "io-error", Severity::kError,
+                     "no such file or directory"});
+      continue;
+    }
     for (const auto& entry : fs::recursive_directory_iterator(root)) {
       if (!entry.is_regular_file()) continue;
       const std::string ext = entry.path().extension().string();
       if (ext == ".hpp" || ext == ".h" || ext == ".cpp" || ext == ".cc") {
-        files.push_back(entry.path().string());
+        paths.push_back(entry.path().string());
       }
     }
   }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
+  std::sort(paths.begin(), paths.end());
+  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
 
-  // Every file is indexed exactly once (cache-restored summaries skip
-  // tokenization entirely); headers shared by many TUs are no longer
-  // re-read per includer.
-  TokenCache cache;
-  if (!opts.index_cache_path.empty()) {
-    cache.load_index_cache(opts.index_cache_path);
-  }
-
-  std::vector<Finding> out;
-  std::vector<const TokenCache::FileData*> fds;
-  for (const auto& f : files) {
-    const TokenCache::FileData& fd = cache.get(f);
-    if (!fd.readable) {
-      out.push_back({f, 1, "io-error", Severity::kError,
-                     "cannot read file", {}, 0});
+  // Each file is read and analyzed once; the per-file rules and the
+  // semantic index both work from that one FileData.
+  std::vector<FileData> files;
+  files.reserve(paths.size());
+  for (const auto& path : paths) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      out.push_back({path, 1, "io-error", Severity::kError,
+                     "cannot read file"});
       continue;
     }
-    fds.push_back(&fd);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    files.push_back(analyze(path, buf.str()));
+  }
+  std::map<std::string, const FileData*> by_path;
+  for (const FileData& fd : files) {
+    lint_one(fd, effective, &out);
+    by_path.emplace(fd.path, &fd);
   }
 
-  // Incremental mode: changed files plus their transitive reverse-
-  // includers get the per-file rules and appear in the report; the rest
-  // of the tree only feeds the semantic index.
-  const bool incremental = !opts.changed_files.empty();
-  std::set<std::string> affected;
-  if (incremental) {
-    const IncludeGraph ig(fds);
-    affected = ig.affected(opts.changed_files);
-  }
-  const auto is_affected = [&](const std::string& path) {
-    return !incremental || affected.count(normalize_path(path)) > 0;
-  };
-
-  for (const TokenCache::FileData* fd : fds) {
-    if (!is_affected(fd->path)) continue;
-    const TokenCache::FileData& full = cache.ensure_tokens(fd->path);
-    out.insert(out.end(), full.directive_findings.begin(),
-               full.directive_findings.end());
-    std::vector<Finding> raw;
-    run_per_file_checks(full.path, full.scrubbed, &raw);
-    for (auto& f : raw) {
-      if (!full.allows.suppressed(f.rule, f.line)) {
-        out.push_back(std::move(f));
-      }
+  for (auto& f : run_semantic_rules(build_index(files))) {
+    const auto it = by_path.find(f.file);
+    if (it != by_path.end() && it->second->allows.suppressed(f.rule, f.line)) {
+      continue;
     }
-    const bool is_header =
-        full.path.size() >= 4 &&
-        (full.path.rfind(".hpp") == full.path.size() - 4 ||
-         full.path.rfind(".h") == full.path.size() - 2);
-    if (effective.compile_check && is_header &&
-        !full.allows.suppressed("header-not-self-sufficient", 1)) {
-      check_header_self_sufficient(full.path, effective, &out);
-    }
-  }
-
-  if (opts.semantic) {
-    const Index idx = build_index(fds);
-    SemanticOptions sopts;
-    sopts.hotpath_depth = opts.hotpath_depth;
-    for (auto& f : run_semantic_rules(idx, sopts)) {
-      if (!is_affected(f.file)) continue;
-      const TokenCache::FileData& fd = cache.get(f.file);
-      if (fd.readable && fd.allows.suppressed(f.rule, f.line)) continue;
-      out.push_back(std::move(f));
-    }
+    out.push_back(std::move(f));
   }
 
   if (opts.compile_check && !effective.compile_check) {
     out.push_back({"", 0, "compile-check-skipped", Severity::kNote,
                    "compiler '" + opts.compiler +
                        "' not found; header self-sufficiency (R6) not "
-                       "checked",
-                   {}, 0});
-  }
-  if (!opts.index_cache_path.empty()) {
-    cache.save_index_cache(opts.index_cache_path);
-  }
-  if (stats != nullptr) {
-    const TokenCache::Stats& cs = cache.stats();
-    stats->files = static_cast<int>(fds.size());
-    stats->files_read = cs.files_read;
-    stats->tokenizations = cs.tokenizations;
-    stats->memo_hits = cs.memo_hits;
-    stats->disk_cache_hits = cs.disk_cache_hits;
+                       "checked"});
   }
   sort_findings(&out);
   return out;
@@ -760,33 +655,6 @@ std::string to_text(const std::vector<Finding>& findings) {
            severity_name(f.severity) + ": [" + f.rule + "] " + f.message +
            "\n";
   }
-  return out;
-}
-
-std::string to_json(const std::vector<Finding>& findings) {
-  using obs::json::quote;
-  std::string out = "{\"findings\":[";
-  int errors = 0;
-  int warnings = 0;
-  int notes = 0;
-  bool first = true;
-  for (const auto& f : findings) {
-    switch (f.severity) {
-      case Severity::kError: ++errors; break;
-      case Severity::kWarning: ++warnings; break;
-      case Severity::kNote: ++notes; break;
-    }
-    if (!first) out += ',';
-    first = false;
-    out += "{\"file\":" + quote(f.file) +
-           ",\"line\":" + std::to_string(f.line) +
-           ",\"rule\":" + quote(f.rule) + ",\"severity\":" +
-           quote(severity_name(f.severity)) +
-           ",\"message\":" + quote(f.message) + "}";
-  }
-  out += "],\"errors\":" + std::to_string(errors) +
-         ",\"warnings\":" + std::to_string(warnings) +
-         ",\"notes\":" + std::to_string(notes) + "}";
   return out;
 }
 
@@ -830,69 +698,6 @@ std::string to_sarif(const std::vector<Finding>& findings) {
     out += "}";
   }
   out += "]}]}";
-  return out;
-}
-
-// ---- baselines --------------------------------------------------------
-
-std::string baseline_to_json(const Baseline& b) {
-  using obs::json::quote;
-  std::string out = "{\"hvc-lint-baseline\":1,\"entries\":[";
-  bool first = true;
-  for (const auto& [key, count] : b.counts) {
-    if (count <= 0) continue;
-    if (!first) out += ',';
-    first = false;
-    out += "{\"file\":" + quote(key.first) + ",\"rule\":" +
-           quote(key.second) + ",\"count\":" + std::to_string(count) + "}";
-  }
-  out += "]}";
-  return out;
-}
-
-bool baseline_from_json(std::string_view text, Baseline* b) {
-  obs::json::Value root;
-  if (!obs::json::parse(text, &root) || !root.is_object()) return false;
-  const obs::json::Value* entries = root.find("entries");
-  if (entries == nullptr || !entries->is_array()) return false;
-  b->counts.clear();
-  for (const auto& e : entries->array) {
-    if (!e.is_object()) return false;
-    const std::string file = e.string_or("file", "");
-    const std::string rule = e.string_or("rule", "");
-    const int count = static_cast<int>(e.number_or("count", 0));
-    if (file.empty() || rule.empty() || count <= 0) return false;
-    b->counts[{file, rule}] += count;
-  }
-  return true;
-}
-
-Baseline baseline_from_findings(const std::vector<Finding>& findings) {
-  Baseline b;
-  for (const auto& f : findings) {
-    if (f.severity == Severity::kNote || f.file.empty()) continue;
-    ++b.counts[{normalize_path(f.file), f.rule}];
-  }
-  return b;
-}
-
-std::vector<Finding> apply_baseline(std::vector<Finding> findings,
-                                    const Baseline& b) {
-  sort_findings(&findings);
-  std::map<std::pair<std::string, std::string>, int> budget = b.counts;
-  std::vector<Finding> out;
-  for (auto& f : findings) {
-    bool covered = false;
-    for (auto& [key, remaining] : budget) {
-      if (remaining > 0 && key.second == f.rule &&
-          path_suffix_match(key.first, f.file)) {
-        --remaining;
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) out.push_back(std::move(f));
-  }
   return out;
 }
 

@@ -54,14 +54,15 @@
 //                             reach an export sink
 //   hotpath-alloc       (R11) semantic: no allocation or container
 //                             growth inside HVC_PROF_SCOPE functions or
-//                             their callees to the configured depth
+//                             their direct callees
 //
-// Scanner, not a compiler: the per-file pass works on a comment/string-
-// stripped token view of each file, and the semantic pass (R9–R11) on a
-// heuristic repo-wide index built from the same tokens (index.hpp,
-// graph.hpp) — no libclang dependency, which keeps it fast and
-// dependency-free at the cost of AST precision. Rules are tuned so
-// false positives are rare and every true hit is suppressible in place:
+// Scanner, not a compiler: lint_tree reads each file once into a
+// comment/string-stripped view; the per-file rules walk that view, and
+// the semantic pass (R9–R11) a heuristic repo-wide index built from the
+// same file's tokens (index.hpp, graph.hpp) — no libclang dependency,
+// which keeps it fast and dependency-free at the cost of AST precision.
+// Rules are tuned so false positives are rare and every true hit is
+// suppressible in place:
 //
 //   foo();  // hvc-lint: allow(unordered-container): keys are re-sorted
 //           // before export, so iteration order cannot leak
@@ -73,10 +74,8 @@
 // for the whole file.
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace hvc::lint {
@@ -91,11 +90,6 @@ struct Finding {
   std::string rule;
   Severity severity = Severity::kWarning;
   std::string message;
-  /// Semantic findings: the declaration the finding traces back to
-  /// (e.g. the unordered container an exported value derives from).
-  /// Empty for per-file findings. `hvc_lint --fix` rewrites here.
-  std::string origin_file;
-  int origin_line = 0;
 };
 
 /// R7 helper: true for files inside the sanctioned clock island
@@ -120,59 +114,25 @@ struct Options {
   std::string compiler = "c++";
   /// -I directories for the compile check (transitive includes).
   std::vector<std::string> include_dirs;
-  /// Run the semantic passes (R9–R11) in lint_tree. The semantic index
-  /// always covers the whole tree; per-file rules and finding output
-  /// respect `changed_files` when set.
-  bool semantic = true;
-  /// R11: call-edge radius of the HVC_PROF_SCOPE allocation ban.
-  int hotpath_depth = 1;
-  /// Incremental mode (hvc_lint --diff/--changed): when non-empty, only
-  /// these files plus their transitive reverse-includers are linted and
-  /// reported; everything else contributes to the index only.
-  std::vector<std::string> changed_files;
-  /// When non-empty, load/save the on-disk symbol index here (JSON
-  /// keyed on file content hashes; stale entries re-index silently).
-  std::string index_cache_path;
 };
 
-/// Cache counters from one lint_tree run (see TokenCache::Stats):
-/// `tokenizations` vs `files` is the header re-tokenization saving;
-/// `disk_cache_hits` counts summaries restored from index_cache_path.
-struct TreeStats {
-  int files = 0;
-  int files_read = 0;
-  int tokenizations = 0;
-  int memo_hits = 0;
-  int disk_cache_hits = 0;
-};
-
-/// Lint one file's contents (R1–R5, R8 + suppression diagnostics). `path`
-/// is used for reporting only; nothing is read from disk.
+/// Lint one file's contents with the per-file rules (R1–R5, R8 +
+/// suppression diagnostics). `path` is used for reporting only; nothing
+/// is read from disk.
 [[nodiscard]] std::vector<Finding> lint_source(const std::string& path,
-                                               std::string_view text,
-                                               const Options& opts = {});
-
-/// Lint a file from disk; adds the R6 compile check for headers when
-/// opts.compile_check is set. Unreadable file = one kError finding.
-[[nodiscard]] std::vector<Finding> lint_file(const std::string& path,
-                                             const Options& opts = {});
+                                               std::string_view text);
 
 /// Recursively lint every .hpp/.h/.cpp/.cc under `roots` (files are also
-/// accepted directly): per-file rules R1–R8 plus, when opts.semantic,
-/// the cross-TU passes R9–R11 over the whole-tree index. Results are
-/// ordered by path then line, so output is byte-stable for a given
-/// tree. `stats` (optional) receives the token-cache counters.
+/// accepted directly): per-file rules R1–R8 plus the cross-TU passes
+/// R9–R11 over the whole-tree index. A root that is neither a file nor a
+/// directory, or a file that cannot be read, is an `io-error` finding.
+/// Results are ordered by path then line, so output is byte-stable for a
+/// given tree.
 [[nodiscard]] std::vector<Finding> lint_tree(
-    const std::vector<std::string>& roots, const Options& opts = {},
-    TreeStats* stats = nullptr);
+    const std::vector<std::string>& roots, const Options& opts = {});
 
 /// Human-readable report: "file:line: severity: [rule] message" lines.
 [[nodiscard]] std::string to_text(const std::vector<Finding>& findings);
-
-/// Machine-readable report:
-///   {"findings":[{"file":...,"line":...,"rule":...,"severity":...,
-///    "message":...}],"errors":N,"warnings":N,"notes":N}
-[[nodiscard]] std::string to_json(const std::vector<Finding>& findings);
 
 /// SARIF 2.1.0 report (one run, tool driver "hvc_lint", every known
 /// rule listed, one result per finding) for CI code-scanning upload.
@@ -180,28 +140,5 @@ struct TreeStats {
 
 /// The gate condition: any finding at warning severity or worse.
 [[nodiscard]] bool has_failure(const std::vector<Finding>& findings);
-
-// ---- baselines --------------------------------------------------------
-
-/// A count-based debt ledger: (repo-relative file, rule) -> number of
-/// findings tolerated there. Lets strict rules land without a flag-day
-/// fix of every legacy hit, while any *new* finding (count exceeded)
-/// still fails the gate. Entries match findings by path suffix, so
-/// "src/x.hpp" covers "./src/x.hpp" and absolute paths alike.
-struct Baseline {
-  std::map<std::pair<std::string, std::string>, int> counts;
-};
-
-[[nodiscard]] std::string baseline_to_json(const Baseline& b);
-[[nodiscard]] bool baseline_from_json(std::string_view text, Baseline* b);
-
-/// Build a baseline that exactly covers `findings` (notes excluded).
-[[nodiscard]] Baseline baseline_from_findings(
-    const std::vector<Finding>& findings);
-
-/// Drop findings covered by the baseline, consuming counts in sorted
-/// finding order; everything beyond the budget survives.
-[[nodiscard]] std::vector<Finding> apply_baseline(
-    std::vector<Finding> findings, const Baseline& b);
 
 }  // namespace hvc::lint

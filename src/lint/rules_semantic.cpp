@@ -1,11 +1,7 @@
 #include "lint/rules_semantic.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 namespace hvc::lint {
 
@@ -66,8 +62,7 @@ void check_worker_races(const Index& idx, const CallGraph& cg,
                  where(g->file, g->line) + ") from '" + fn->qualified +
                  "', which runs on exp::run_sweep worker threads; make "
                  "it thread_local, std::atomic, or mutex-guarded, or "
-                 "scope the state per run",
-             g->file, g->line});
+                 "scope the state per run"});
       }
     }
   }
@@ -80,7 +75,7 @@ void check_worker_races(const Index& idx, const CallGraph& cg,
   //     guard in the same body. If another instance rebound X since,
   //     this write silently disables *that* instance (the PR 4
   //     PacketTracer isolation bug).
-  for (const TokenCache::FileData* fd : idx.files) {
+  for (const FileData* fd : idx.files) {
     for (const FunctionSummary& fn : fd->summary.functions) {
       for (const WriteSite& w : fn.writes) {
         if (!w.null_assign || w.member_access) continue;
@@ -97,8 +92,7 @@ void check_worker_races(const Index& idx, const CallGraph& cg,
                  fn.qualified +
                  "': another instance may own the binding by now — guard "
                  "the reset with `if (" +
-                 w.name + " == this)`",
-             g->file, g->line});
+                 w.name + " == this)`"});
       }
     }
   }
@@ -137,8 +131,7 @@ void check_worker_races(const Index& idx, const CallGraph& cg,
                  "' but no destructor clears it; the binding dangles "
                  "after the object dies — add `if (" +
                  g->name + " == this) " + g->name + " = nullptr;` to ~" +
-                 g->owner + "()",
-             g->file, g->line});
+                 g->owner + "()"});
       }
     }
   }
@@ -159,7 +152,7 @@ void check_unordered_taint(const Index& idx,
 
   // Seeds: loop variables of (and variables written inside) a range-for
   // over an unordered container.
-  for (const TokenCache::FileData* fd : idx.files) {
+  for (const FileData* fd : idx.files) {
     for (const FunctionSummary& fn : fd->summary.functions) {
       for (const IterLoop& loop : fn.iter_loops) {
         const ContainerDecl* cd =
@@ -190,7 +183,7 @@ void check_unordered_taint(const Index& idx,
 
   for (int round = 0; round < 64; ++round) {
     bool changed = false;
-    for (const TokenCache::FileData* fd : idx.files) {
+    for (const FileData* fd : idx.files) {
       for (const FunctionSummary& fn : fd->summary.functions) {
         Taint& t = state[&fn];
         // Intra-function: assignments whose RHS mentions a tainted var
@@ -265,7 +258,7 @@ void check_unordered_taint(const Index& idx,
   // Sinks: any call to an export sink with a tainted argument (or
   // tainted receiver — the indexer records both in args).
   std::set<std::pair<const FunctionSummary*, int>> seen;
-  for (const TokenCache::FileData* fd : idx.files) {
+  for (const FileData* fd : idx.files) {
     for (const FunctionSummary& fn : fd->summary.functions) {
       const auto sit = state.find(&fn);
       if (sit == state.end() || sit->second.vars.empty()) continue;
@@ -289,8 +282,7 @@ void check_unordered_taint(const Index& idx,
                  ") reaches export sink '" + cs.name +
                  "' — iteration order is unspecified, so exported bytes "
                  "can differ between runs; use std::map/std::set or "
-                 "sort before exporting",
-             origin->file, origin->line});
+                 "sort before exporting"});
       }
     }
   }
@@ -298,16 +290,20 @@ void check_unordered_taint(const Index& idx,
 
 // ---- R11: hotpath-alloc -----------------------------------------------
 
+/// How many call-edges away from a HVC_PROF_SCOPE function the
+/// allocation ban extends (0 = only the profiled function itself).
+constexpr int kHotpathDepth = 1;
+
 void check_hotpath_allocs(const Index& idx, const CallGraph& cg,
-                          int depth, std::vector<Finding>* out) {
+                          std::vector<Finding>* out) {
   std::vector<const FunctionSummary*> roots;
-  for (const TokenCache::FileData* fd : idx.files) {
+  for (const FileData* fd : idx.files) {
     for (const FunctionSummary& fn : fd->summary.functions) {
       if (fn.has_prof_scope) roots.push_back(&fn);
     }
   }
   if (roots.empty()) return;
-  for (const auto& [fn, d] : cg.within_depth(roots, depth)) {
+  for (const auto& [fn, d] : cg.within_depth(roots, kHotpathDepth)) {
     for (const AllocSite& a : fn->allocs) {
       const std::string how =
           d == 0 ? "inside the HVC_PROF_SCOPE function '" + fn->qualified +
@@ -322,147 +318,20 @@ void check_hotpath_allocs(const Index& idx, const CallGraph& cg,
                ": profiled hot paths must not allocate or grow "
                "containers (ROADMAP item 1 pools this memory); "
                "preallocate, pool, or allow(hotpath-alloc) with a "
-               "justification",
-           fn->file, fn->line_begin});
+               "justification"});
     }
   }
 }
 
 }  // namespace
 
-std::vector<Finding> run_semantic_rules(const Index& idx,
-                                        const SemanticOptions& opts) {
+std::vector<Finding> run_semantic_rules(const Index& idx) {
   std::vector<Finding> out;
   const CallGraph cg(idx);
   check_worker_races(idx, cg, &out);
   check_unordered_taint(idx, &out);
-  check_hotpath_allocs(idx, cg, opts.hotpath_depth, &out);
+  check_hotpath_allocs(idx, cg, &out);
   return out;
-}
-
-// ---- --fix ------------------------------------------------------------
-
-namespace {
-
-std::string raw_line(const std::string& text, int line) {
-  std::size_t pos = 0;
-  for (int i = 1; i < line && pos != std::string::npos; ++i) {
-    pos = text.find('\n', pos);
-    if (pos != std::string::npos) ++pos;
-  }
-  if (pos == std::string::npos) return "";
-  std::size_t end = text.find('\n', pos);
-  if (end == std::string::npos) end = text.size();
-  return text.substr(pos, end - pos);
-}
-
-std::string rewrite_unordered(const std::string& line) {
-  std::string out = line;
-  for (const auto& [from, to] :
-       {std::pair<std::string, std::string>{"unordered_map", "map"},
-        std::pair<std::string, std::string>{"unordered_set", "set"}}) {
-    std::size_t at = 0;
-    while ((at = out.find(from, at)) != std::string::npos) {
-      const char before = at > 0 ? out[at - 1] : '\0';
-      const char after = at + from.size() < out.size()
-                             ? out[at + from.size()]
-                             : '\0';
-      const bool b_word =
-          std::isalnum(static_cast<unsigned char>(before)) != 0 ||
-          before == '_';
-      const bool a_word =
-          std::isalnum(static_cast<unsigned char>(after)) != 0 ||
-          after == '_';
-      if (!b_word && !a_word) {
-        out.replace(at, from.size(), to);
-        at += to.size();
-      } else {
-        at += from.size();
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<FixEdit> propose_fixes(const std::vector<Finding>& findings,
-                                   TokenCache& cache) {
-  std::set<std::pair<std::string, int>> sites;
-  for (const Finding& f : findings) {
-    if (f.rule == "unordered-taint" && !f.origin_file.empty()) {
-      sites.insert({f.origin_file, f.origin_line});
-    } else if (f.rule == "unordered-container") {
-      sites.insert({f.file, f.line});
-    }
-  }
-  std::vector<FixEdit> out;
-  for (const auto& [file, line] : sites) {
-    const TokenCache::FileData& fd = cache.get(file);
-    if (!fd.readable) continue;
-    const std::string before = raw_line(fd.text, line);
-    const std::string after = rewrite_unordered(before);
-    if (after != before) out.push_back({file, line, before, after});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FixEdit& a, const FixEdit& b) {
-              return a.file != b.file ? a.file < b.file : a.line < b.line;
-            });
-  return out;
-}
-
-std::string to_unified_diff(const std::vector<FixEdit>& edits) {
-  std::string out;
-  std::string current_file;
-  for (const FixEdit& e : edits) {
-    if (e.file != current_file) {
-      current_file = e.file;
-      out += "--- a/" + e.file + "\n+++ b/" + e.file + "\n";
-    }
-    out += "@@ -" + std::to_string(e.line) + ",1 +" +
-           std::to_string(e.line) + ",1 @@\n-" + e.before + "\n+" +
-           e.after + "\n";
-  }
-  return out;
-}
-
-int apply_fixes(const std::vector<FixEdit>& edits) {
-  std::map<std::string, std::vector<const FixEdit*>> by_file;
-  for (const FixEdit& e : edits) by_file[e.file].push_back(&e);
-  int files_rewritten = 0;
-  for (const auto& [file, file_edits] : by_file) {
-    std::ifstream in(file, std::ios::binary);
-    if (!in) continue;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string text = buf.str();
-    in.close();
-
-    std::vector<std::string> lines;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-      std::size_t end = text.find('\n', pos);
-      if (end == std::string::npos) {
-        if (pos < text.size()) lines.push_back(text.substr(pos));
-        break;
-      }
-      lines.push_back(text.substr(pos, end - pos));
-      pos = end + 1;
-    }
-    bool changed = false;
-    for (const FixEdit* e : file_edits) {
-      const auto i = static_cast<std::size_t>(e->line - 1);
-      if (i < lines.size() && lines[i] == e->before) {
-        lines[i] = e->after;
-        changed = true;
-      }
-    }
-    if (!changed) continue;
-    std::ofstream outf(file, std::ios::binary);
-    for (const auto& l : lines) outf << l << "\n";
-    ++files_rewritten;
-  }
-  return files_rewritten;
 }
 
 }  // namespace hvc::lint

@@ -22,14 +22,11 @@
 //                              make_shared/growth-capable container
 //                              mutation inside a function that contains
 //                              HVC_PROF_SCOPE, nor in anything it calls
-//                              to the configured depth.
+//                              directly.
 //
-// All three are suppressible with the standard allow() grammar; the
-// count-based Baseline (lint.hpp) lets them land strict without a
-// flag-day sweep of legacy findings.
+// All three are suppressible with the standard allow() grammar.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "lint/graph.hpp"
@@ -37,42 +34,9 @@
 
 namespace hvc::lint {
 
-struct SemanticOptions {
-  /// R11: how many call-edges away from a HVC_PROF_SCOPE function the
-  /// allocation ban extends (0 = only the profiled function itself).
-  int hotpath_depth = 1;
-};
-
 /// Run R9–R11 over the whole index. Findings are unsuppressed and
-/// unsorted; the caller applies per-file allow() directives, baselines,
-/// and ordering.
-[[nodiscard]] std::vector<Finding> run_semantic_rules(
-    const Index& idx, const SemanticOptions& opts = {});
-
-// ---- `hvc_lint --fix`: mechanical rewrites ----------------------------
-
-/// One single-line replacement. `before`/`after` are the full line text
-/// without the trailing newline.
-struct FixEdit {
-  std::string file;
-  int line = 0;
-  std::string before;
-  std::string after;
-};
-
-/// Propose unordered_map/unordered_set -> std::map/std::set rewrites at
-/// the origin declarations of unordered-taint findings (and at the
-/// flagged lines of per-file unordered-container findings). Only lines
-/// whose rewrite actually changes text are returned; duplicates are
-/// collapsed.
-[[nodiscard]] std::vector<FixEdit> propose_fixes(
-    const std::vector<Finding>& findings, TokenCache& cache);
-
-/// Render edits as a unified diff (one hunk per line, grouped by file);
-/// "" when there is nothing to fix.
-[[nodiscard]] std::string to_unified_diff(const std::vector<FixEdit>& edits);
-
-/// Apply edits in place. Returns the number of files rewritten.
-int apply_fixes(const std::vector<FixEdit>& edits);
+/// unsorted; the caller applies per-file allow() directives and
+/// ordering.
+[[nodiscard]] std::vector<Finding> run_semantic_rules(const Index& idx);
 
 }  // namespace hvc::lint

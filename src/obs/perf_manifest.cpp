@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -11,6 +12,18 @@ namespace hvc::obs {
 
 namespace {
 constexpr const char* kThroughputKey = "items_per_sec.median";
+
+/// `key` as an int, `dflt` when absent; nullopt when the number is
+/// non-finite or outside int range, where static_cast<int> is undefined.
+std::optional<int> int_field(const json::Value& obj, const std::string& key,
+                             int dflt) {
+  const double v = obj.number_or(key, dflt);
+  if (!std::isfinite(v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(v);
+}
 }  // namespace
 
 const PerfBenchResult* PerfManifest::find(const std::string& bench) const {
@@ -72,24 +85,32 @@ std::optional<PerfManifest> PerfManifest::from_json(const std::string& text) {
   m.cpu_model = root.string_or("cpu_model", "unknown");
   m.build_type = root.string_or("build_type", "unknown");
   m.compiler = root.string_or("compiler", "unknown");
-  m.pinned_cpu = static_cast<int>(root.number_or("pinned_cpu", -1));
+  const auto pinned_cpu = int_field(root, "pinned_cpu", -1);
+  const auto warmup = int_field(root, "warmup", 0);
+  const auto repeats = int_field(root, "repeats", 0);
+  if (!pinned_cpu || !warmup || !repeats) return std::nullopt;
+  m.pinned_cpu = *pinned_cpu;
   m.cycles_per_ns = root.number_or("cycles_per_ns", 0.0);
-  m.warmup = static_cast<int>(root.number_or("warmup", 0));
-  m.repeats = static_cast<int>(root.number_or("repeats", 0));
-  if (const json::Value* bs = root.find("benches"); bs && bs->is_array()) {
-    for (const json::Value& bv : bs->array) {
-      if (!bv.is_object()) return std::nullopt;
-      PerfBenchResult b;
-      b.name = bv.string_or("name", "");
-      b.unit = bv.string_or("unit", "");
-      if (b.name.empty()) return std::nullopt;
-      if (const json::Value* st = bv.find("stats"); st && st->is_object()) {
-        for (const auto& [key, value] : st->object) {
-          if (value.is_number()) b.stats[key] = value.num;
-        }
+  m.warmup = *warmup;
+  m.repeats = *repeats;
+  // A manifest with no benches would gate nothing: compare_perf against
+  // it passes vacuously.
+  const json::Value* bs = root.find("benches");
+  if (bs == nullptr || !bs->is_array() || bs->array.empty()) {
+    return std::nullopt;
+  }
+  for (const json::Value& bv : bs->array) {
+    if (!bv.is_object()) return std::nullopt;
+    PerfBenchResult b;
+    b.name = bv.string_or("name", "");
+    b.unit = bv.string_or("unit", "");
+    if (b.name.empty()) return std::nullopt;
+    if (const json::Value* st = bv.find("stats"); st && st->is_object()) {
+      for (const auto& [key, value] : st->object) {
+        if (value.is_number()) b.stats[key] = value.num;
       }
-      m.benches.push_back(std::move(b));
     }
+    m.benches.push_back(std::move(b));
   }
   return m;
 }

@@ -1,5 +1,5 @@
 // R11 seed: the allocation sits one call-edge below the profiled
-// function; the default hotpath depth of 1 must still reach it.
+// function; R11's one-call-edge radius must still reach it.
 namespace fx11d {
 
 void fx11d_grow(std::vector<int>& v) {

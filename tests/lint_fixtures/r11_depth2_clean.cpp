@@ -1,5 +1,5 @@
 // R11 depth bound: the allocation is two call-edges below the profiled
-// function — invisible at the default depth of 1, flagged at depth 2.
+// function — outside R11's radius of one call-edge, so it stays clean.
 namespace fx11e {
 
 void fx11e_inner() {

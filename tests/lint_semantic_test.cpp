@@ -1,31 +1,24 @@
 // Tests for the semantic half of the lint engine (src/lint): the
-// dependency-free indexer (scrub/tokenize/summarize), the cross-TU
-// symbol/call/include graphs, the three semantic rule families
-// (R9 worker-shared-state, R10 unordered-taint, R11 hotpath-alloc),
-// incremental --diff equivalence, SARIF shape, the findings baseline,
-// and the --fix rewriter. Golden fixtures under tests/lint_fixtures/
-// include reductions of the two historical bugs the engine must
-// rediscover: the PR 4 tracer unconditional-unbind and the PR 5
-// dangling thread_local binding.
+// dependency-free indexer (scrub/tokenize/summarize), the three semantic
+// rule families (R9 worker-shared-state, R10 unordered-taint, R11
+// hotpath-alloc), and the SARIF shape. Golden fixtures under
+// tests/lint_fixtures/ include reductions of the two historical bugs
+// the engine must rediscover: the PR 4 tracer unconditional-unbind and
+// the PR 5 dangling thread_local binding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "lint/graph.hpp"
 #include "lint/index.hpp"
 #include "lint/lint.hpp"
-#include "lint/rules_semantic.hpp"
 #include "obs/json.hpp"
 
 namespace hvc {
 namespace {
 
 using lint::Finding;
-using lint::Options;
 using lint::Severity;
 
 std::string fixture(const std::string& name) {
@@ -153,87 +146,6 @@ TEST(LintIndex, SummarizeMacroHeavyTU) {
   EXPECT_TRUE(sum.globals.empty());
 }
 
-TEST(LintIndex, IncludeGraphCycleTerminatesAndAffectsDependents) {
-  lint::TokenCache cache;
-  std::vector<const lint::TokenCache::FileData*> files;
-  for (const char* name :
-       {"include_cycle/cyc_a.hpp", "include_cycle/cyc_b.hpp",
-        "include_cycle/cyc_user.cpp"}) {
-    files.push_back(&cache.get(fixture(name)));
-  }
-  const lint::IncludeGraph graph(files);
-  const auto affected = graph.affected({"cyc_b.hpp"});
-  // b itself, a (includes b), and the user TU (includes a) — and the
-  // a <-> b cycle must not hang the reverse closure.
-  auto contains = [&](const char* suffix) {
-    for (const auto& p : affected) {
-      if (p.size() > std::strlen(suffix) &&
-          p.compare(p.size() - std::strlen(suffix), std::string::npos,
-                    suffix) == 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-  EXPECT_TRUE(contains("/cyc_a.hpp"));
-  EXPECT_TRUE(contains("/cyc_b.hpp"));
-  EXPECT_TRUE(contains("/cyc_user.cpp"))
-      << "changed=cyc_b.hpp must reach the user TU through the cycle";
-}
-
-TEST(LintIndex, TokenCacheMemoizesPerFileStreams) {
-  lint::TokenCache cache;
-  const std::string path = fixture("r10_direct.cpp");
-  cache.get(path);
-  cache.ensure_tokens(path);
-  cache.ensure_tokens(path);
-  cache.get(path);
-  EXPECT_EQ(cache.stats().files_read, 1);
-  EXPECT_EQ(cache.stats().tokenizations, 1)
-      << "a file must be scrubbed+tokenized at most once per process";
-  EXPECT_GE(cache.stats().memo_hits, 1);
-}
-
-TEST(LintIndex, SummaryJsonRoundTrip) {
-  lint::TokenCache cache;
-  const auto& fd = cache.ensure_tokens(fixture("r9_pr4_unbind.cpp"));
-  const std::string json = lint::summary_to_json(fd);
-  lint::TokenCache::FileData back;
-  ASSERT_TRUE(lint::summary_from_json(json, &back));
-  ASSERT_EQ(back.summary.functions.size(), fd.summary.functions.size());
-  ASSERT_EQ(back.summary.globals.size(), fd.summary.globals.size());
-  for (std::size_t i = 0; i < fd.summary.functions.size(); ++i) {
-    const auto& a = fd.summary.functions[i];
-    const auto& b = back.summary.functions[i];
-    EXPECT_EQ(a.qualified, b.qualified);
-    EXPECT_EQ(a.writes.size(), b.writes.size());
-    EXPECT_EQ(a.self_guarded, b.self_guarded);
-  }
-  for (std::size_t i = 0; i < fd.summary.globals.size(); ++i) {
-    EXPECT_EQ(fd.summary.globals[i].is_thread_local,
-              back.summary.globals[i].is_thread_local);
-    EXPECT_EQ(fd.summary.globals[i].is_pointer,
-              back.summary.globals[i].is_pointer);
-  }
-}
-
-TEST(LintIndex, DiskIndexCacheSkipsReTokenization) {
-  const std::string cache_path = "lint_semantic_index_cache.tmp.json";
-  {
-    lint::TokenCache warm;
-    warm.ensure_tokens(fixture("r9_plain_race.cpp"));
-    warm.save_index_cache(cache_path);
-  }
-  lint::TokenCache cold;
-  cold.load_index_cache(cache_path);
-  const auto& fd = cold.get(fixture("r9_plain_race.cpp"));
-  EXPECT_EQ(cold.stats().disk_cache_hits, 1);
-  EXPECT_EQ(cold.stats().tokenizations, 0)
-      << "an unchanged file restores its summary without tokenizing";
-  ASSERT_FALSE(fd.summary.functions.empty());
-  std::remove(cache_path.c_str());
-}
-
 // ---- R9: worker-shared-state ------------------------------------------
 
 TEST(LintSemanticR9, PlainRaceOnWorkerReachableGlobal) {
@@ -289,8 +201,8 @@ TEST(LintSemanticR10, LoopVariableReachesSinkDirectly) {
   ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
   EXPECT_EQ(hits[0].line, 8);
   EXPECT_NE(hits[0].message.find("write_jsonl"), std::string::npos);
-  EXPECT_EQ(hits[0].origin_line, 6) << "finding must carry the "
-                                       "container declaration as origin";
+  EXPECT_NE(hits[0].message.find("r10_direct.cpp:6)"), std::string::npos)
+      << "the message must name the container declaration";
 }
 
 TEST(LintSemanticR10, TaintSurvivesAssignmentChain) {
@@ -360,47 +272,14 @@ TEST(LintSemanticR11, CalleeOneEdgeAwayIsCovered) {
 TEST(LintSemanticR11, DepthBoundIsRespected) {
   const auto deep = lint::lint_tree({fixture("r11_depth2_clean.cpp")});
   EXPECT_TRUE(of_rule(deep, "hotpath-alloc").empty())
-      << "two edges away is outside the default radius\n"
+      << "two edges away is outside the one-edge radius\n"
       << lint::to_text(deep);
-  Options opts;
-  opts.hotpath_depth = 2;
-  const auto wide = lint::lint_tree({fixture("r11_depth2_clean.cpp")}, opts);
-  const auto hits = of_rule(wide, "hotpath-alloc");
-  ASSERT_EQ(hits.size(), 1u) << lint::to_text(wide);
-  EXPECT_EQ(hits[0].line, 7);
 }
 
 TEST(LintSemanticR11, JustifiedAllowSuppresses) {
   const auto all = lint::lint_tree({fixture("r11_allow.cpp")});
   EXPECT_TRUE(of_rule(all, "hotpath-alloc").empty())
       << lint::to_text(all);
-}
-
-// ---- incremental (--diff) equivalence ---------------------------------
-
-TEST(LintTreeIncremental, ChangedFileMatchesFullRunForThatFile) {
-  const std::string root =
-      std::string(HVC_SOURCE_DIR) + "/tests/lint_fixtures";
-  const auto full = lint::lint_tree({root});
-  Options inc;
-  inc.changed_files = {"r10_via_assign.cpp"};
-  const auto diff = lint::lint_tree({root}, inc);
-
-  std::vector<Finding> expect;
-  for (const auto& f : full) {
-    if (f.file.find("r10_via_assign.cpp") != std::string::npos) {
-      expect.push_back(f);
-    }
-  }
-  ASSERT_FALSE(expect.empty());
-  ASSERT_EQ(diff.size(), expect.size())
-      << "full run:\n" << lint::to_text(expect)
-      << "incremental:\n" << lint::to_text(diff);
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_EQ(diff[i].file, expect[i].file);
-    EXPECT_EQ(diff[i].line, expect[i].line);
-    EXPECT_EQ(diff[i].rule, expect[i].rule);
-  }
 }
 
 // ---- SARIF ------------------------------------------------------------
@@ -456,81 +335,6 @@ TEST(LintSarif, OutputValidatesAgainst210Shape) {
     ASSERT_NE(start, nullptr);
     EXPECT_GE(start->num, 1.0);
   }
-}
-
-// ---- baseline ---------------------------------------------------------
-
-TEST(LintBaseline, RoundTripAndApplyConsumesCounts) {
-  const auto all = lint::lint_tree({fixture("r9_plain_race.cpp")});
-  ASSERT_FALSE(all.empty());
-  const lint::Baseline base = lint::baseline_from_findings(all);
-  lint::Baseline back;
-  ASSERT_TRUE(lint::baseline_from_json(lint::baseline_to_json(base), &back));
-  EXPECT_EQ(back.counts.size(), base.counts.size());
-
-  const auto survivors = lint::apply_baseline(all, back);
-  EXPECT_TRUE(survivors.empty()) << lint::to_text(survivors);
-
-  // A baseline for another file must not absorb these findings.
-  lint::Baseline other;
-  other.counts[{"somewhere/else.cpp", "worker-shared-state"}] = 5;
-  const auto kept = lint::apply_baseline(all, other);
-  EXPECT_EQ(kept.size(), all.size());
-}
-
-TEST(LintBaseline, MalformedJsonIsRejected) {
-  lint::Baseline b;
-  EXPECT_FALSE(lint::baseline_from_json("{}", &b));
-  EXPECT_FALSE(lint::baseline_from_json(
-      "{\"hvc-lint-baseline\":1,\"entries\":[{\"file\":\"\",\"rule\":"
-      "\"wallclock\",\"count\":1}]}",
-      &b));
-  EXPECT_TRUE(lint::baseline_from_json(
-      "{\"hvc-lint-baseline\":1,\"entries\":[]}", &b));
-}
-
-TEST(LintBaseline, CommittedBaselineMatchesCleanTree) {
-  // The checked-in baseline must parse, and the real tree must be clean
-  // under it. (The tree is in fact clean without it — lint_test asserts
-  // that — so the committed file must stay empty; this test pins both.)
-  const std::string path = std::string(HVC_SOURCE_DIR) + "/lint_baseline.json";
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr) << "lint_baseline.json must be checked in";
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  lint::Baseline base;
-  ASSERT_TRUE(lint::baseline_from_json(text, &base));
-  EXPECT_TRUE(base.counts.empty())
-      << "new suppressions belong in allow() comments, not the baseline";
-}
-
-// ---- --fix ------------------------------------------------------------
-
-TEST(LintFix, ProposesUnorderedToOrderedRewriteAsUnifiedDiff) {
-  const auto all = lint::lint_tree({fixture("r10_via_assign.cpp")});
-  ASSERT_FALSE(of_rule(all, "unordered-taint").empty());
-  lint::TokenCache cache;
-  const auto edits = lint::propose_fixes(all, cache);
-  ASSERT_FALSE(edits.empty());
-  bool rewrote = false;
-  for (const auto& e : edits) {
-    if (e.line == 6) {
-      rewrote = true;
-      EXPECT_NE(e.before.find("unordered_map"), std::string::npos);
-      EXPECT_NE(e.after.find("std::map"), std::string::npos);
-      EXPECT_EQ(e.after.find("unordered_map"), std::string::npos);
-    }
-  }
-  EXPECT_TRUE(rewrote) << "the taint origin declaration must be rewritten";
-
-  const std::string diff = lint::to_unified_diff(edits);
-  EXPECT_NE(diff.find("--- a/"), std::string::npos);
-  EXPECT_NE(diff.find("+++ b/"), std::string::npos);
-  EXPECT_NE(diff.find("-  std::unordered_map"), std::string::npos);
-  EXPECT_NE(diff.find("+  std::map"), std::string::npos);
 }
 
 }  // namespace

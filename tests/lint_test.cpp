@@ -1,17 +1,18 @@
 // Tests for the determinism & simulation-safety static-analysis pass
 // (src/lint). Golden fixture files under tests/lint_fixtures/ seed one
 // violation per rule; further cases cover the suppression grammar,
-// severities, JSON output, and — the point of the whole exercise — that
-// the real source tree lints clean.
+// severities, text output, the whole fixture tree's pinned findings, and
+// — the point of the whole exercise — that the real source tree lints
+// clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "obs/json.hpp"
 
 namespace hvc {
 namespace {
@@ -34,7 +35,7 @@ std::vector<Finding> of_rule(const std::vector<Finding>& findings,
 }
 
 TEST(LintRules, R1WallclockFiresOnceAtSeededLine) {
-  const auto all = lint::lint_file(fixture("r1_wallclock.cpp"));
+  const auto all = lint::lint_tree({fixture("r1_wallclock.cpp")});
   const auto hits = of_rule(all, "wallclock");
   ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
   EXPECT_EQ(hits[0].line, 8);
@@ -43,7 +44,7 @@ TEST(LintRules, R1WallclockFiresOnceAtSeededLine) {
 }
 
 TEST(LintRules, R2UnorderedContainerFiresOnDeclarationNotInclude) {
-  const auto all = lint::lint_file(fixture("r2_unordered.cpp"));
+  const auto all = lint::lint_tree({fixture("r2_unordered.cpp")});
   const auto hits = of_rule(all, "unordered-container");
   ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
   EXPECT_EQ(hits[0].line, 9);
@@ -51,7 +52,7 @@ TEST(LintRules, R2UnorderedContainerFiresOnDeclarationNotInclude) {
 }
 
 TEST(LintRules, R3SteerMissingReasonFiresOnBareExitPathOnly) {
-  const auto all = lint::lint_file(fixture("r3_steer.cpp"));
+  const auto all = lint::lint_tree({fixture("r3_steer.cpp")});
   const auto hits = of_rule(all, "steer-missing-reason");
   ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
   EXPECT_EQ(hits[0].line, 18);
@@ -59,7 +60,7 @@ TEST(LintRules, R3SteerMissingReasonFiresOnBareExitPathOnly) {
 }
 
 TEST(LintRules, R4RawNewDeleteFiresButDeletedFunctionsDoNot) {
-  const auto all = lint::lint_file(fixture("r4_new_delete.cpp"));
+  const auto all = lint::lint_tree({fixture("r4_new_delete.cpp")});
   const auto hits = of_rule(all, "raw-new-delete");
   ASSERT_EQ(hits.size(), 2u) << lint::to_text(all);
   EXPECT_EQ(hits[0].line, 8);
@@ -67,7 +68,7 @@ TEST(LintRules, R4RawNewDeleteFiresButDeletedFunctionsDoNot) {
 }
 
 TEST(LintRules, R5FloatEqualityFiresOnExactCompareOnly) {
-  const auto all = lint::lint_file(fixture("r5_float_eq.cpp"));
+  const auto all = lint::lint_tree({fixture("r5_float_eq.cpp")});
   const auto hits = of_rule(all, "float-equality");
   ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
   EXPECT_EQ(hits[0].line, 8);
@@ -76,14 +77,14 @@ TEST(LintRules, R5FloatEqualityFiresOnExactCompareOnly) {
 
 TEST(LintRules, R6HeaderSelfSufficiencyNeedsCompileCheck) {
   // Without the compile check the header passes (nothing else wrong).
-  EXPECT_TRUE(lint::lint_file(fixture("r6_header.hpp")).empty());
+  EXPECT_TRUE(lint::lint_tree({fixture("r6_header.hpp")}).empty());
 
   if (std::system("c++ --version > /dev/null 2>&1") != 0) {
     GTEST_SKIP() << "no c++ compiler on PATH";
   }
   Options opts;
   opts.compile_check = true;
-  const auto all = lint::lint_file(fixture("r6_header.hpp"), opts);
+  const auto all = lint::lint_tree({fixture("r6_header.hpp")}, opts);
   const auto hits = of_rule(all, "header-not-self-sufficient");
   ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
   EXPECT_EQ(hits[0].severity, Severity::kError);
@@ -144,7 +145,7 @@ TEST(LintRules, R7CannotBeSuppressedByItsOwnAllow) {
 }
 
 TEST(LintRules, R8StdHashFiresOnQualifiedUseOnly) {
-  const auto all = lint::lint_file(fixture("r8_std_hash.cpp"));
+  const auto all = lint::lint_tree({fixture("r8_std_hash.cpp")});
   const auto hits = of_rule(all, "std-hash");
   ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
   EXPECT_EQ(hits[0].line, 11);
@@ -169,12 +170,12 @@ TEST(LintRules, R8ToleratesWhitespaceAndIsSuppressible) {
 }
 
 TEST(LintSuppression, JustifiedAllowsSilenceBothForms) {
-  const auto all = lint::lint_file(fixture("suppressed.cpp"));
+  const auto all = lint::lint_tree({fixture("suppressed.cpp")});
   EXPECT_TRUE(all.empty()) << lint::to_text(all);
 }
 
 TEST(LintSuppression, UnjustifiedAndUnknownAllowsAreFindings) {
-  const auto all = lint::lint_file(fixture("bad_allow.cpp"));
+  const auto all = lint::lint_tree({fixture("bad_allow.cpp")});
   const auto missing = of_rule(all, "allow-needs-justification");
   ASSERT_EQ(missing.size(), 1u) << lint::to_text(all);
   EXPECT_EQ(missing[0].line, 6);
@@ -198,34 +199,18 @@ TEST(LintSuppression, AllowFileSilencesWholeFile) {
 }
 
 TEST(LintOutput, TextFormatIsFileLineSeverityRule) {
-  const auto all = lint::lint_file(fixture("r5_float_eq.cpp"));
+  const auto all = lint::lint_tree({fixture("r5_float_eq.cpp")});
   ASSERT_EQ(all.size(), 1u);
   const std::string text = lint::to_text(all);
   EXPECT_NE(text.find(":8: warning: [float-equality]"), std::string::npos)
       << text;
 }
 
-TEST(LintOutput, JsonIsValidAndCountsSeverities) {
-  std::vector<Finding> findings = {
-      {"a.cpp", 1, "wallclock", Severity::kError, "msg \"quoted\"", "", 0},
-      {"b.cpp", 2, "float-equality", Severity::kWarning, "msg", "", 0},
-      {"", 0, "compile-check-skipped", Severity::kNote, "msg", "", 0},
-  };
-  const std::string json = lint::to_json(findings);
-  obs::json::Value v;
-  ASSERT_TRUE(obs::json::parse(json, &v)) << json;
-  EXPECT_EQ(v.number_or("errors", -1), 1);
-  EXPECT_EQ(v.number_or("warnings", -1), 1);
-  EXPECT_EQ(v.number_or("notes", -1), 1);
-  ASSERT_TRUE(v.find("findings") != nullptr);
-  EXPECT_EQ(v.find("findings")->array.size(), 3u);
-}
-
 TEST(LintOutput, HasFailureIgnoresNotes) {
   std::vector<Finding> notes = {
-      {"", 0, "compile-check-skipped", Severity::kNote, "msg", "", 0}};
+      {"", 0, "compile-check-skipped", Severity::kNote, "msg"}};
   EXPECT_FALSE(lint::has_failure(notes));
-  notes.push_back({"a.cpp", 1, "wallclock", Severity::kError, "msg", "", 0});
+  notes.push_back({"a.cpp", 1, "wallclock", Severity::kError, "msg"});
   EXPECT_TRUE(lint::has_failure(notes));
 }
 
@@ -250,14 +235,81 @@ TEST(LintTree, FindingsAreSortedByPathThenLine) {
   EXPECT_TRUE(sorted) << lint::to_text(all);
 }
 
+// The whole fixture tree's findings, in report order. Any change to a
+// rule, the suppression grammar, the semantic index or the ordering
+// shows up here as a diff against this list.
+TEST(LintTree, FixtureTreeFindingsArePinned) {
+  struct Expected {
+    const char* file;
+    int line;
+    const char* rule;
+  };
+  const std::vector<Expected> expected = {
+      {"bad_allow.cpp", 6, "allow-needs-justification"},
+      {"bad_allow.cpp", 7, "unordered-container"},
+      {"bad_allow.cpp", 9, "allow-unknown-rule"},
+      {"bad_allow.cpp", 10, "unordered-container"},
+      {"r10_allow.cpp", 6, "unordered-container"},
+      {"r10_direct.cpp", 6, "unordered-container"},
+      {"r10_direct.cpp", 8, "unordered-taint"},
+      {"r10_via_assign.cpp", 6, "unordered-container"},
+      {"r10_via_assign.cpp", 13, "unordered-taint"},
+      {"r10_via_callarg.cpp", 6, "unordered-taint"},
+      {"r10_via_callarg.cpp", 10, "unordered-container"},
+      {"r10_via_return.cpp", 6, "unordered-container"},
+      {"r10_via_return.cpp", 16, "unordered-taint"},
+      {"r11_callee.cpp", 6, "hotpath-alloc"},
+      {"r11_growth.cpp", 8, "hotpath-alloc"},
+      {"r11_make_unique.cpp", 6, "hotpath-alloc"},
+      {"r11_new.cpp", 6, "hotpath-alloc"},
+      {"r11_new.cpp", 6, "raw-new-delete"},
+      {"r1_wallclock.cpp", 8, "wallclock"},
+      {"r2_unordered.cpp", 9, "unordered-container"},
+      {"r3_steer.cpp", 18, "steer-missing-reason"},
+      {"r4_new_delete.cpp", 8, "raw-new-delete"},
+      {"r4_new_delete.cpp", 9, "raw-new-delete"},
+      {"r5_float_eq.cpp", 8, "float-equality"},
+      {"r8_std_hash.cpp", 11, "std-hash"},
+      {"r9_plain_race.cpp", 8, "worker-shared-state"},
+      {"r9_pr4_unbind.cpp", 18, "worker-shared-state"},
+      {"r9_pr5_dangling.cpp", 7, "worker-shared-state"},
+      {"r9_static_local.cpp", 7, "worker-shared-state"},
+  };
+  const auto all = lint::lint_tree(
+      {std::string(HVC_SOURCE_DIR) + "/tests/lint_fixtures"});
+  ASSERT_EQ(all.size(), expected.size()) << lint::to_text(all);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(std::filesystem::path(all[i].file).filename(),
+              expected[i].file)
+        << "finding " << i;
+    EXPECT_EQ(all[i].line, expected[i].line) << "finding " << i;
+    EXPECT_EQ(all[i].rule, expected[i].rule) << "finding " << i;
+  }
+}
+
+// A root that does not exist must not pass as a clean, empty tree: a
+// mistyped path in the gate would otherwise lint zero files and succeed.
+TEST(LintTree, MissingRootIsAnIoError) {
+  const auto all = lint::lint_tree({"/no/such/dir", "/no/such/file.cpp"});
+  ASSERT_EQ(all.size(), 2u) << lint::to_text(all);
+  for (const auto& f : all) {
+    EXPECT_EQ(f.rule, "io-error");
+    EXPECT_EQ(f.severity, Severity::kError);
+  }
+  EXPECT_EQ(all[0].file, "/no/such/dir");
+  EXPECT_EQ(all[1].file, "/no/such/file.cpp");
+  EXPECT_TRUE(lint::has_failure(all));
+}
+
 // The acceptance gate: the real source tree is clean, meaning every
 // remaining unordered container / clock use carries a justified allow.
 // (The R6 compile check is exercised separately above and by
 // scripts/check.sh lint; skipping it here keeps the suite fast.)
 TEST(LintTree, RealSourceTreeLintsClean) {
   const std::string root = HVC_SOURCE_DIR;
-  const auto all = lint::lint_tree(
-      {root + "/src", root + "/tools", root + "/bench", root + "/examples"});
+  const auto all =
+      lint::lint_tree({root + "/src", root + "/tools", root + "/bench",
+                       root + "/examples", root + "/paperbench"});
   EXPECT_TRUE(all.empty()) << lint::to_text(all);
 }
 

@@ -245,6 +245,36 @@ TEST(PerfManifest, RejectsUnknownSchemaAndGarbage) {
   wrong.replace(at, std::string("hvc-perf-manifest/1").size(),
                 "hvc-perf-manifest/999");
   EXPECT_FALSE(obs::PerfManifest::from_json(wrong).has_value());
+
+  // A baseline without benches would make `hvc_perf --check` pass
+  // vacuously: missing, empty and non-array `benches` are all rejected.
+  EXPECT_FALSE(obs::PerfManifest::from_json(
+                   R"({"schema":"hvc-perf-manifest/1"})")
+                   .has_value());
+  EXPECT_FALSE(obs::PerfManifest::from_json(
+                   R"({"schema":"hvc-perf-manifest/1","benches":[]})")
+                   .has_value());
+  EXPECT_FALSE(obs::PerfManifest::from_json(
+                   R"({"schema":"hvc-perf-manifest/1","benches":{}})")
+                   .has_value());
+
+  // Integer fields must be finite and fit an int (1e309 parses as inf).
+  for (const char* key : {"pinned_cpu", "warmup", "repeats"}) {
+    for (const char* bad : {"1e309", "-1e309", "3e9", "-3e9"}) {
+      const std::string good = sample_manifest().to_json();
+      const std::string field = "\"" + std::string(key) + "\": ";
+      const std::size_t pos = good.find(field);
+      ASSERT_NE(pos, std::string::npos) << key;
+      const std::size_t end = good.find(',', pos);
+      std::string text = good;
+      text.replace(pos + field.size(), end - pos - field.size(), bad);
+      EXPECT_FALSE(obs::PerfManifest::from_json(text).has_value())
+          << key << " = " << bad;
+    }
+  }
+  // The untouched sample still parses.
+  EXPECT_TRUE(
+      obs::PerfManifest::from_json(sample_manifest().to_json()).has_value());
 }
 
 TEST(PerfCompare, ToleranceGateAndMissingBench) {
