@@ -113,19 +113,26 @@ for preset in "${presets[@]}"; do
     echo "diffsim oracle OK"
   elif [ "${preset}" = "paperbench" ]; then
     # Paper benchmark (paperbench/): its own tests, then short untraced
-    # passes at the held-out seed 7 of the packet-level workloads: bulk_cca
-    # (Fig. 1a/1b, transport/CCA) and the trace-driven web_plt (Table 1)
-    # and video_rt (Fig. 2). Every grid point's simulated outputs must
-    # match paperbench/digests.txt, which the last stdout line reports as
+    # passes of all four workloads: bulk_cca (Fig. 1a/1b, transport/CCA)
+    # and city_pop (flow-level city cell) at the held-out seed 7, and the
+    # trace-driven web_plt (Table 1) and video_rt (Fig. 2) at seed 7 and
+    # at the default seed 42, so both seeds' 5G schedules are checked.
+    # Every grid point's simulated outputs must match
+    # paperbench/digests.txt, which the last stdout line reports as
     # "correct": true.
     python3 -m unittest discover -s paperbench/tests
-    for workload in bulk_cca web_plt video_rt; do
-      result="$(python3 paperbench/run.py --workload "${workload}" --seed 7 \
-        --seconds 3 --trace 0 | tail -n 1)"
+    for run in bulk_cca:7 city_pop:7 web_plt:7 web_plt:42 video_rt:7 \
+        video_rt:42; do
+      workload="${run%%:*}"
+      seed="${run##*:}"
+      result="$(python3 paperbench/run.py --workload "${workload}" \
+        --seed "${seed}" --seconds 3 --trace 0 | tail -n 1)"
       echo "${result}"
       case "${result}" in
-        *'"correct": true'*) echo "paperbench ${workload} digests OK" ;;
-        *) echo "paperbench: ${workload} outputs do not match the digests" >&2
+        *'"correct": true'*)
+          echo "paperbench ${workload} seed ${seed} digests OK" ;;
+        *) echo "paperbench: ${workload} seed ${seed} outputs do not" \
+             "match the digests" >&2
            exit 1 ;;
       esac
     done

@@ -116,51 +116,13 @@ void Link::fault_set_episode_loss(const LossConfig& cfg, std::uint64_t seed) {
 
 void Link::schedule_service() {
   if (service_scheduled_ || queue_.empty() || fault_down_) return;
-  const Time next = next_opportunity_after(sim_.now());
+  const Time next = service_.next_after(cfg_.capacity, sim_.now());
   if (next == sim::kTimeNever) return;  // dead link
   service_scheduled_ = true;
   service_event_ = sim_.at(next, [this] {
     service_scheduled_ = false;
     on_opportunity();
   });
-}
-
-void Link::TraceCursor::seek(const trace::CapacityTrace& trace, Time t) {
-  const std::vector<Time>& opps = trace.opportunities();
-  const Duration period = trace.period();
-  const Time cycle_base = (t / period) * period;
-  if (cycle_base != base) {
-    // New cycle (or, defensively, time moved backwards): rehome.
-    base = cycle_base;
-    idx = 0;
-  }
-  // Gallop forward, then binary-search the last bracket: O(1) when the
-  // cursor moves a few opportunities (a busy link), O(log d) when a
-  // sparse caller skips d of them on a dense trace.
-  const Time offset = t - base;
-  const std::size_t n = opps.size();
-  std::size_t step = 1;
-  while (idx + step <= n && opps[idx + step - 1] <= offset) {
-    idx += step;
-    step *= 2;
-  }
-  const auto first = opps.begin() + static_cast<std::ptrdiff_t>(idx);
-  const auto last =
-      opps.begin() + static_cast<std::ptrdiff_t>(std::min(idx + step, n));
-  idx = static_cast<std::size_t>(std::upper_bound(first, last, offset) -
-                                 opps.begin());
-}
-
-// Same answer as cfg_.capacity.next_opportunity(t): the first opportunity
-// strictly after t, i.e. the one just past the cursor.
-Time Link::next_opportunity_after(Time t) {
-  const std::vector<Time>& opps = cfg_.capacity.opportunities();
-  if (opps.empty()) return sim::kTimeNever;
-  service_.seek(cfg_.capacity, t);
-  if (service_.idx == opps.size()) {
-    return service_.base + cfg_.capacity.period() + opps.front();
-  }
-  return service_.base + opps[service_.idx];
 }
 
 void Link::on_opportunity() {
@@ -281,18 +243,10 @@ double Link::recent_delivery_rate_bps() const {
   if (recent_rate_at_ == sim_.now()) return recent_rate_bps_;
   constexpr sim::Duration kWindow = sim::milliseconds(200);
   const sim::Time to = std::max<sim::Time>(sim_.now(), kWindow);
-  // Same count as cfg_.capacity.opportunities_in(to - kWindow, to): each
-  // cursor's cycle * per-period + idx is the number of opportunities in
-  // [0, t], and both ends only move forward with sim time.
-  rate_from_.seek(cfg_.capacity, to - kWindow);
-  rate_to_.seek(cfg_.capacity, to);
-  const auto per_period =
-      static_cast<std::int64_t>(cfg_.capacity.opportunities_per_period());
-  const Duration period = cfg_.capacity.period();
-  const std::int64_t opps =
-      (rate_to_.base - rate_from_.base) / period * per_period +
-      static_cast<std::int64_t>(rate_to_.idx) -
-      static_cast<std::int64_t>(rate_from_.idx);
+  // Same count as cfg_.capacity.opportunities_in(to - kWindow, to); both
+  // ends only move forward with sim time.
+  const std::int64_t opps = rate_to_.count_upto(cfg_.capacity, to) -
+                            rate_from_.count_upto(cfg_.capacity, to - kWindow);
   recent_rate_at_ = sim_.now();
   recent_rate_bps_ = static_cast<double>(opps) *
                      static_cast<double>(cfg_.capacity.mtu_bytes()) * 8.0 /

@@ -160,19 +160,7 @@ class Link {
                  static_cast<std::uint32_t>(p.size_bytes));
     }
   }
-  // Forward-only position in the looping capacity trace: `idx` counts the
-  // opportunities of the cycle starting at `base` that are <= the last
-  // time seeked to. Links query at nondecreasing sim times, so a seek
-  // only searches the stretch it skips, where the trace's binary search
-  // pays O(log n) over the whole trace on every call.
-  struct TraceCursor {
-    sim::Time base = 0;
-    std::size_t idx = 0;
-    void seek(const trace::CapacityTrace& trace, sim::Time t);
-  };
-
   void schedule_service();
-  [[nodiscard]] sim::Time next_opportunity_after(sim::Time t);
   void on_opportunity();
   void deliver(net::PacketPtr p);
 
@@ -192,11 +180,12 @@ class Link {
   // cache. The fault setters invalidate it (same-timestamp safety).
   mutable sim::Time recent_rate_at_ = -1;
   mutable double recent_rate_bps_ = 0.0;
-  // The two ends of recent_delivery_rate_bps()'s window.
-  mutable TraceCursor rate_from_;
-  mutable TraceCursor rate_to_;
-  // schedule_service()'s position (next_opportunity_after: link.cpp).
-  TraceCursor service_;
+  // The two ends of recent_delivery_rate_bps()'s window, and
+  // schedule_service()'s position: links query at nondecreasing sim
+  // times, so each seek only covers the stretch it skips.
+  mutable trace::TraceCursor rate_from_;
+  mutable trace::TraceCursor rate_to_;
+  trace::TraceCursor service_;
   double fault_rate_acc_ = 0.0;
   sim::Duration fault_extra_delay_ = 0;
   std::optional<LossModel> episode_loss_;

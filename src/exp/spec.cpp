@@ -123,6 +123,12 @@ void require_positive(double v, const std::string& path) {
   if (!(v > 0)) fail(path, "must be > 0");
 }
 
+/// Largest accepted channel rate: 10x the fastest committed scenario
+/// channel (1000 Mbps). A constant-rate trace holds one opportunity per
+/// MTU-time, so at 250 B opportunities this cap is already 5 M of them
+/// (40 MB) per one-second period.
+constexpr double kMaxRateMbps = 10'000;
+
 ChannelSpec parse_channel(const Value& v, const std::string& path) {
   require_object(v, path);
   check_keys(v, path,
@@ -149,7 +155,16 @@ ChannelSpec parse_channel(const Value& v, const std::string& path) {
     fail(path + ".profile", "only valid for type \"5g\"");
   }
   c.rtt_ms = get_millis(v, path, "rtt_ms", c.rtt_ms);
-  c.rate_mbps = get_number(v, path, "rate_mbps", c.rate_mbps);
+  if (v.find("rate_mbps") != nullptr) {
+    // Present means overridden: a value <= 0 would otherwise fall back to
+    // the factory default (negative) or fail deep in the trace layer (0).
+    c.rate_mbps = get_number(v, path, "rate_mbps", c.rate_mbps);
+    const std::string at = path + ".rate_mbps";
+    require_positive(c.rate_mbps, at);  // also rejects -inf; +inf fails the cap
+    if (c.rate_mbps > kMaxRateMbps) {
+      fail(at, "must be <= " + obs::json::number(kMaxRateMbps) + " Mbps");
+    }
+  }
   c.duration_s = get_seconds(v, path, "duration_s", c.duration_s);
   c.seed = get_int(v, path, "seed", c.seed);
   return c;

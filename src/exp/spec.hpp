@@ -37,7 +37,8 @@ class SpecError : public std::runtime_error {
 ///   "tsn"    Wi-Fi TSN slice           "wifi"   contended Wi-Fi
 ///   "cisp"   priced microwave WAN      "fiber"  terrestrial fiber
 ///   "leo"    LEO satellite
-/// Negative numeric fields mean "use the factory default".
+/// Negative numeric fields mean "use the factory default"; a `rate_mbps`
+/// given in the JSON must be finite and in (0, 10000].
 struct ChannelSpec {
   std::string type = "embb";
   std::string profile;        ///< 5g only

@@ -147,9 +147,11 @@ std::string PerfCheck::to_text() const {
 }
 
 PerfCheck compare_perf(const PerfManifest& baseline,
-                       const PerfManifest& current, double tolerance) {
+                       const PerfManifest& current, double tolerance,
+                       const std::string& filter) {
   PerfCheck check;
   for (const PerfBenchResult& base : baseline.benches) {
+    if (base.name.find(filter) == std::string::npos) continue;
     PerfDelta d;
     d.bench = base.name;
     const auto base_it = base.stats.find(kThroughputKey);

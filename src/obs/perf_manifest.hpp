@@ -82,8 +82,12 @@ struct PerfCheck {
 /// with items_per_sec.median >= baseline * (1 - tolerance). Benches only
 /// in `current` are reported as ok (the suite grew). `tolerance` is the
 /// allowed fractional slowdown, e.g. 0.5 = halving throughput fails.
+/// A non-empty `filter` is the substring the current run selected its
+/// benches by (hvc_perf --filter): baseline benches whose names lack it
+/// were not run, so they are left out instead of failing as missing.
 [[nodiscard]] PerfCheck compare_perf(const PerfManifest& baseline,
                                      const PerfManifest& current,
-                                     double tolerance);
+                                     double tolerance,
+                                     const std::string& filter = "");
 
 }  // namespace hvc::obs

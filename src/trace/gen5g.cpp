@@ -15,6 +15,7 @@ CapacityTrace generate_markov_trace(const MarkovRateModel& model,
   if (model.states.empty()) {
     throw std::invalid_argument("markov trace: no states");
   }
+  if (model.step <= 0) throw std::invalid_argument("markov trace: step <= 0");
   if (model.initial_state >= model.states.size()) {
     throw std::invalid_argument("markov trace: bad initial state");
   }
@@ -29,12 +30,11 @@ CapacityTrace generate_markov_trace(const MarkovRateModel& model,
   Time now = 0;
   Time state_until = 0;
   double byte_credit = 0.0;
-  // Opportunities granted per step. The RNG walk runs first and the
-  // opportunity times are laid out after it, so the output vector is
-  // sized once (per-step counts are exact; the last step may overhang
-  // `duration`, which makes the total an upper bound).
+  // Opportunities granted per step: the trace stores these counts and
+  // lays each step's times out on demand (CapacityTrace::from_step_counts).
   std::vector<std::int64_t> step_counts;
-  std::int64_t total = 0;
+  step_counts.reserve(static_cast<std::size_t>(
+      duration > 0 ? (duration - 1) / model.step + 1 : 0));
 
   auto draw_dwell = [&](const RateState& s) -> Duration {
     auto d = static_cast<Duration>(
@@ -76,22 +76,10 @@ CapacityTrace generate_markov_trace(const MarkovRateModel& model,
                    static_cast<std::int64_t>(before /
                                              static_cast<double>(mtu));
     step_counts.push_back(n);
-    total += n;
     now += model.step;
   }
-
-  std::vector<Time> opps;
-  opps.reserve(static_cast<std::size_t>(total));
-  Time step_start = 0;
-  for (const std::int64_t n : step_counts) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      // Spaced evenly within the step.
-      const Time at = step_start + model.step * (i + 1) / (n + 1);
-      if (at < duration) opps.push_back(at);
-    }
-    step_start += model.step;
-  }
-  return CapacityTrace::from_opportunities(std::move(opps), duration, mtu);
+  return CapacityTrace::from_step_counts(model.step, step_counts, duration,
+                                         mtu);
 }
 
 const char* to_string(FiveGProfile p) {

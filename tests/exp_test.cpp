@@ -121,6 +121,22 @@ TEST(ExpSpec, RejectsMalformedInput) {
                exp::SpecError);
   EXPECT_THROW((void)exp::ScenarioSpec::from_json_text("{\"seed\": 1.5}"),
                exp::SpecError);
+  // Channel rates: zero, negative (not a request for the default),
+  // non-finite and above the cap are rejected at their JSON path.
+  for (const char* rate : {"0", "-5", "1e400", "-1e400", "10000.5", "1e7"}) {
+    try {
+      (void)exp::ScenarioSpec::from_json_text(
+          std::string("{\"channels\": [{\"type\": \"urllc\"}, "
+                      "{\"type\": \"embb\", \"rate_mbps\": ") +
+          rate + "}]}");
+      ADD_FAILURE() << "accepted rate_mbps " << rate;
+    } catch (const exp::SpecError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("channels.1.rate_mbps: ", 0), 0u)
+          << rate << ": " << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)exp::ScenarioSpec::from_json_text(
+      "{\"channels\": [{\"type\": \"embb\", \"rate_mbps\": 10000}]}"));
   // DChannel knobs on a non-dchannel policy.
   EXPECT_THROW((void)exp::ScenarioSpec::from_json_text(
                    "{\"policy\": {\"name\": \"min-delay\", "
@@ -318,9 +334,9 @@ TEST(ExpRunner, MatchesDirectCoreRun) {
 }
 
 TEST(ExpRunner, TraceStorageIsSharedFromProfileToLink) {
-  // A 5G trace is megabytes of opportunities; it travels profile →
-  // ScenarioConfig → HvcSet → Channel → LinkConfig → Link. Every hop must
-  // share the one vector, never deep-copy it.
+  // A 5G trace travels profile → ScenarioConfig → HvcSet → Channel →
+  // LinkConfig → Link. Every hop must share the one schedule, never
+  // deep-copy it.
   const auto spec = exp::ScenarioSpec::from_json_text(R"({
     "workload": "video", "duration_s": 5, "seed": 3,
     "channels": [{"type": "5g", "profile": "lowband-driving"},
@@ -330,14 +346,21 @@ TEST(ExpRunner, TraceStorageIsSharedFromProfileToLink) {
   const auto cfg = exp::build_scenario_config(spec);
   core::Scenario scenario(cfg);
   auto& ch = scenario.network().channels().at(0);
-  const sim::Time* profile_down =
-      cfg.channels.at(0).capacity_down.opportunities().data();
-  ASSERT_GT(cfg.channels.at(0).capacity_down.opportunities_per_period(), 0u);
-  EXPECT_EQ(ch.downlink().config().capacity.opportunities().data(),
-            profile_down);
-  EXPECT_EQ(ch.profile().capacity_down.opportunities().data(), profile_down);
-  EXPECT_EQ(ch.uplink().config().capacity.opportunities().data(),
-            cfg.channels.at(0).capacity_up.opportunities().data());
+  const trace::CapacityTrace& profile_down = cfg.channels.at(0).capacity_down;
+  const trace::CapacityTrace& profile_up = cfg.channels.at(0).capacity_up;
+  ASSERT_GT(profile_down.opportunities_per_period(), 0u);
+  EXPECT_TRUE(profile_down.stepped());
+  EXPECT_TRUE(
+      ch.downlink().config().capacity.shares_storage_with(profile_down));
+  EXPECT_TRUE(ch.profile().capacity_down.shares_storage_with(profile_down));
+  EXPECT_TRUE(ch.uplink().config().capacity.shares_storage_with(profile_up));
+  EXPECT_TRUE(ch.profile().capacity_up.shares_storage_with(profile_up));
+  // The check can fail: an equal schedule built separately is not shared.
+  const auto rebuilt = exp::build_scenario_config(spec);
+  EXPECT_EQ(rebuilt.channels.at(0).capacity_down.expand(),
+            profile_down.expand());
+  EXPECT_FALSE(
+      rebuilt.channels.at(0).capacity_down.shares_storage_with(profile_down));
 }
 
 TEST(ExpRunner, CapturesRunErrorsInsteadOfThrowing) {

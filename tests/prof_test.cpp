@@ -308,6 +308,34 @@ TEST(PerfCompare, ToleranceGateAndMissingBench) {
   EXPECT_TRUE(obs::compare_perf(baseline, same, 0.5).ok);
 }
 
+TEST(PerfCompare, FilterSkipsOnlyTheBenchesItLeftOut) {
+  // A baseline of two benches against a run filtered down to one of them
+  // (hvc_perf --filter churn): the filtered-out bench was never run.
+  obs::PerfManifest baseline = sample_manifest();
+  obs::PerfBenchResult other;
+  other.name = "link_serve";
+  other.stats = {{"items_per_sec.median", 4e6}};
+  baseline.benches.push_back(other);
+  obs::PerfManifest filtered = sample_manifest();
+
+  const auto check = obs::compare_perf(baseline, filtered, 0.5, "churn");
+  EXPECT_TRUE(check.ok);
+  ASSERT_EQ(check.deltas.size(), 1u);
+  EXPECT_EQ(check.deltas[0].bench, "event_queue_churn");
+
+  // Without the filter the same run is missing a bench and fails.
+  const auto unfiltered = obs::compare_perf(baseline, filtered, 0.5);
+  EXPECT_FALSE(unfiltered.ok);
+  ASSERT_EQ(unfiltered.deltas.size(), 2u);
+  EXPECT_EQ(unfiltered.deltas[1].note, "missing in current run");
+
+  // A bench the filter selected but the run lacks still fails.
+  const auto selected = obs::compare_perf(baseline, filtered, 0.5, "link");
+  EXPECT_FALSE(selected.ok);
+  ASSERT_EQ(selected.deltas.size(), 1u);
+  EXPECT_EQ(selected.deltas[0].note, "missing in current run");
+}
+
 // ---- the determinism pin ------------------------------------------------
 
 /// One fixed scenario run in a fresh metrics/id scope; returns the full

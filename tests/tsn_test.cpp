@@ -45,12 +45,12 @@ TEST(TsnSchedule, ValidatesInputs) {
 TEST(TsnSchedule, NoOpportunitiesInGuardOrForeignWindow) {
   TsnSchedule s;
   const auto tsn = tsn_slice_trace(s);
-  for (const auto t : tsn.opportunities()) {
+  for (const auto t : tsn.expand()) {
     EXPECT_GE(t, s.guard);
     EXPECT_LT(t, s.guard + s.tsn_window);
   }
   const auto be = best_effort_slice_trace(s);
-  for (const auto t : be.opportunities()) {
+  for (const auto t : be.expand()) {
     EXPECT_GE(t, s.guard + s.tsn_window);
     EXPECT_LT(t, s.cycle - s.guard);
   }

@@ -133,7 +133,8 @@ int main(int argc, char** argv) {
                  baseline_file.c_str());
     return 1;
   }
-  const auto result = obs::compare_perf(*baseline, manifest, tolerance);
+  const auto result =
+      obs::compare_perf(*baseline, manifest, tolerance, opts.filter);
   std::printf("\nvs %s (git %s, tolerance %.0f%%):\n%s", baseline_file.c_str(),
               baseline->git_sha.c_str(), tolerance * 100.0,
               result.to_text().c_str());
