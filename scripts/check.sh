@@ -137,21 +137,22 @@ for preset in "${presets[@]}"; do
       esac
     done
   elif [ "${preset}" = "lint" ]; then
-    # Static analysis. Two gates:
-    #  1. tools/hvc_lint — the repo's determinism/simulation-safety rules:
-    #     per-file R1–R8 plus the semantic passes R9–R11 (worker races,
-    #     unordered-taint dataflow, hot-path allocation gating; see
-    #     src/lint/lint.hpp), including the R6 header self-sufficiency
-    #     compile check, in one full-tree pass over every C++ root. Writes
-    #     a SARIF report next to the build tree. Always runs.
-    #  2. clang-tidy over compile_commands.json — generic C++ hygiene
+    # Static analysis. Three gates:
+    #  1. R6 header self-sufficiency — the lint build preset's
+    #     hvc_header_check target compiles every header under src/,
+    #     bench/ and paperbench/ alone, in parallel and incrementally.
+    #  2. tools/hvc_lint — the repo's determinism/simulation-safety rules:
+    #     per-file R1–R5, R7, R8 plus the semantic passes R9–R11 (worker
+    #     races, unordered-taint dataflow, hot-path allocation gating; see
+    #     src/lint/lint.hpp) in one full-tree pass over every C++ root.
+    #     Writes a SARIF report next to the build tree. Always runs.
+    #  3. clang-tidy over compile_commands.json — generic C++ hygiene
     #     (.clang-tidy). Runs only when clang-tidy is installed; the
     #     build image does not ship LLVM, so absence is a skip, not a
     #     failure.
     cmake --preset lint
     cmake --build --preset lint -j "$(nproc)"
-    build-lint/tools/hvc_lint --compile-check -I src \
-      --sarif build-lint/hvc_lint.sarif \
+    build-lint/tools/hvc_lint --sarif build-lint/hvc_lint.sarif \
       src tools bench examples paperbench
     test -s build-lint/hvc_lint.sarif
     echo "hvc_lint OK"

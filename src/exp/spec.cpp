@@ -154,10 +154,23 @@ ChannelSpec parse_channel(const Value& v, const std::string& path) {
   } else if (!c.profile.empty()) {
     fail(path + ".profile", "only valid for type \"5g\"");
   }
-  c.rtt_ms = get_millis(v, path, "rtt_ms", c.rtt_ms);
+  // Trace-driven channels take RTT and rate from their trace; the runner
+  // would ignore an override.
+  if (c.type == "5g" || c.type == "leo") {
+    for (const char* key : {"rtt_ms", "rate_mbps"}) {
+      if (v.find(key) != nullptr) {
+        fail(path + "." + key, "not valid for trace-driven type \"" +
+                                   c.type + "\"");
+      }
+    }
+  }
+  // Present means overridden: a negative value would otherwise fall back to
+  // the factory default, and a zero rate fail deep in the trace layer.
+  if (v.find("rtt_ms") != nullptr) {
+    c.rtt_ms = get_millis(v, path, "rtt_ms", c.rtt_ms);
+    if (!(c.rtt_ms >= 0)) fail(path + ".rtt_ms", "must be >= 0");
+  }
   if (v.find("rate_mbps") != nullptr) {
-    // Present means overridden: a value <= 0 would otherwise fall back to
-    // the factory default (negative) or fail deep in the trace layer (0).
     c.rate_mbps = get_number(v, path, "rate_mbps", c.rate_mbps);
     const std::string at = path + ".rate_mbps";
     require_positive(c.rate_mbps, at);  // also rejects -inf; +inf fails the cap

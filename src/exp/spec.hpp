@@ -38,7 +38,8 @@ class SpecError : public std::runtime_error {
 ///   "cisp"   priced microwave WAN      "fiber"  terrestrial fiber
 ///   "leo"    LEO satellite
 /// Negative numeric fields mean "use the factory default"; a `rate_mbps`
-/// given in the JSON must be finite and in (0, 10000].
+/// given in the JSON must be finite and in (0, 10000], an `rtt_ms` >= 0,
+/// and neither is accepted on the trace-driven "5g" and "leo" types.
 struct ChannelSpec {
   std::string type = "embb";
   std::string profile;        ///< 5g only

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -434,51 +432,6 @@ void check_std_hash(const std::string& path, const Scrubbed& sc,
   }
 }
 
-// ---- R6: header self-sufficiency --------------------------------------
-
-bool compiler_available(const std::string& compiler) {
-  const std::string cmd = compiler + " --version > /dev/null 2>&1";
-  return std::system(cmd.c_str()) == 0;  // NOLINT
-}
-
-void check_header_self_sufficient(const std::string& path,
-                                  const Options& opts,
-                                  std::vector<Finding>* findings) {
-  static int counter = 0;
-  const fs::path tmp_dir = fs::temp_directory_path();
-  const std::string tag = std::to_string(++counter);
-  const fs::path tu = tmp_dir / ("hvc_lint_hdr_" + tag + ".cpp");
-  const fs::path err = tmp_dir / ("hvc_lint_hdr_" + tag + ".err");
-  {
-    std::ofstream out(tu);
-    out << "#include \"" << fs::absolute(path).string() << "\"\n"
-        << "int hvc_lint_header_check;\n";
-  }
-  std::string cmd = opts.compiler + " -fsyntax-only -std=c++20 -x c++";
-  for (const auto& dir : opts.include_dirs) cmd += " -I " + dir;
-  cmd += " " + tu.string() + " 2> " + err.string();
-  const int rc = std::system(cmd.c_str());  // NOLINT
-  if (rc != 0) {
-    std::ifstream in(err);
-    std::string first_error;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.find("error:") != std::string::npos) {
-        first_error = line;
-        break;
-      }
-    }
-    findings->push_back(
-        {path, 1, "header-not-self-sufficient", Severity::kError,
-         "header does not compile on its own (include what you use)" +
-             (first_error.empty() ? std::string{}
-                                  : ": " + first_error)});
-  }
-  std::error_code ec;
-  fs::remove(tu, ec);
-  fs::remove(err, ec);
-}
-
 void sort_findings(std::vector<Finding>* findings) {
   std::stable_sort(findings->begin(), findings->end(),
                    [](const Finding& a, const Finding& b) {
@@ -489,10 +442,9 @@ void sort_findings(std::vector<Finding>* findings) {
 }
 
 /// The per-file pass over one analyzed file: its directive findings
-/// (never suppressible), then R1–R5 and R8 — plus R6 for headers under
-/// opts.compile_check — minus whatever its allow() directives silence.
-void lint_one(const FileData& fd, const Options& opts,
-              std::vector<Finding>* out) {
+/// (never suppressible), then R1–R5 and R8 minus whatever its allow()
+/// directives silence.
+void lint_one(const FileData& fd, std::vector<Finding>* out) {
   out->insert(out->end(), fd.directive_findings.begin(),
               fd.directive_findings.end());
   std::vector<Finding> raw;
@@ -507,20 +459,12 @@ void lint_one(const FileData& fd, const Options& opts,
   for (auto& f : raw) {
     if (!fd.allows.suppressed(f.rule, f.line)) out->push_back(std::move(f));
   }
-  // A file-scope allow silences R6 too (umbrella headers that need a
-  // specific include order would tag themselves; none do today).
-  const std::string ext = fs::path(fd.path).extension().string();
-  if (opts.compile_check && (ext == ".hpp" || ext == ".h") &&
-      !fd.allows.suppressed("header-not-self-sufficient", 1)) {
-    check_header_self_sufficient(fd.path, opts, out);
-  }
 }
 
 }  // namespace
 
 const char* severity_name(Severity s) {
   switch (s) {
-    case Severity::kNote: return "note";
     case Severity::kWarning: return "warning";
     case Severity::kError: return "error";
   }
@@ -539,8 +483,6 @@ const std::vector<RuleInfo>& rules() {
        "no raw new/delete outside allow-tagged files (R4)"},
       {"float-equality", Severity::kWarning,
        "no floating-point ==/!= on metric values (R5)"},
-      {"header-not-self-sufficient", Severity::kError,
-       "headers must compile on their own (R6, --compile-check)"},
       {"clock-island", Severity::kError,
        "allow(wallclock) only inside src/obs/prof* and bench/ (R7)"},
       {"std-hash", Severity::kError,
@@ -569,19 +511,12 @@ bool known_rule(std::string_view name) {
 std::vector<Finding> lint_source(const std::string& path,
                                  std::string_view text) {
   std::vector<Finding> out;
-  lint_one(analyze(path, text), Options{}, &out);
+  lint_one(analyze(path, text), &out);
   sort_findings(&out);
   return out;
 }
 
-std::vector<Finding> lint_tree(const std::vector<std::string>& roots,
-                               const Options& opts) {
-  Options effective = opts;
-  if (effective.compile_check &&
-      !compiler_available(effective.compiler)) {
-    effective.compile_check = false;
-  }
-
+std::vector<Finding> lint_tree(const std::vector<std::string>& roots) {
   std::vector<Finding> out;
   std::vector<std::string> paths;
   for (const auto& root : roots) {
@@ -622,7 +557,7 @@ std::vector<Finding> lint_tree(const std::vector<std::string>& roots,
   }
   std::map<std::string, const FileData*> by_path;
   for (const FileData& fd : files) {
-    lint_one(fd, effective, &out);
+    lint_one(fd, &out);
     by_path.emplace(fd.path, &fd);
   }
 
@@ -634,12 +569,6 @@ std::vector<Finding> lint_tree(const std::vector<std::string>& roots,
     out.push_back(std::move(f));
   }
 
-  if (opts.compile_check && !effective.compile_check) {
-    out.push_back({"", 0, "compile-check-skipped", Severity::kNote,
-                   "compiler '" + opts.compiler +
-                       "' not found; header self-sufficiency (R6) not "
-                       "checked"});
-  }
   sort_findings(&out);
   return out;
 }
@@ -647,21 +576,11 @@ std::vector<Finding> lint_tree(const std::vector<std::string>& roots,
 std::string to_text(const std::vector<Finding>& findings) {
   std::string out;
   for (const auto& f : findings) {
-    if (f.file.empty()) {
-      out += std::string(severity_name(f.severity)) + ": " + f.message + "\n";
-      continue;
-    }
     out += f.file + ":" + std::to_string(f.line) + ": " +
            severity_name(f.severity) + ": [" + f.rule + "] " + f.message +
            "\n";
   }
   return out;
-}
-
-bool has_failure(const std::vector<Finding>& findings) {
-  return std::any_of(findings.begin(), findings.end(), [](const Finding& f) {
-    return f.severity != Severity::kNote;
-  });
 }
 
 std::string to_sarif(const std::vector<Finding>& findings) {
@@ -683,19 +602,13 @@ std::string to_sarif(const std::vector<Finding>& findings) {
   for (const auto& f : findings) {
     if (!first) out += ',';
     first = false;
-    const char* level = f.severity == Severity::kError     ? "error"
-                        : f.severity == Severity::kWarning ? "warning"
-                                                           : "note";
-    out += "{\"ruleId\":" + quote(f.rule) + ",\"level\":" +
-           quote(level) + ",\"message\":{\"text\":" + quote(f.message) +
-           "}";
-    if (!f.file.empty()) {
-      out += ",\"locations\":[{\"physicalLocation\":{"
-             "\"artifactLocation\":{\"uri\":" +
-             quote(f.file) + "},\"region\":{\"startLine\":" +
-             std::to_string(f.line > 0 ? f.line : 1) + "}}}]";
-    }
-    out += "}";
+    out += "{\"ruleId\":" + quote(f.rule) +
+           ",\"level\":" + quote(severity_name(f.severity)) +
+           ",\"message\":{\"text\":" + quote(f.message) +
+           "},\"locations\":[{\"physicalLocation\":{"
+           "\"artifactLocation\":{\"uri\":" +
+           quote(f.file) + "},\"region\":{\"startLine\":" +
+           std::to_string(f.line > 0 ? f.line : 1) + "}}}]}";
   }
   out += "]}]}";
   return out;

@@ -23,11 +23,10 @@
 //   float-equality       (R5) ==/!= against floating-point values —
 //                             metric comparisons must use ordering or an
 //                             explicit tolerance
-//   header-not-self-sufficient
-//                        (R6) a header that does not compile on its own
-//                             (include-what-you-use-lite; needs the
-//                             toolchain, so it runs only under
-//                             Options::compile_check)
+//   (R6, a header that does not compile on its own, is not a scan but a
+//   compile job: the top-level CMakeLists.txt builds one TU per header
+//   into the hvc_header_check target, so the normal parallel build
+//   checks it)
 //   clock-island         (R7) an allow(wallclock) suppression outside the
 //                             sanctioned clock island (src/obs/prof*,
 //                             bench/). Host-time needs are met by calling
@@ -80,7 +79,7 @@
 
 namespace hvc::lint {
 
-enum class Severity { kNote, kWarning, kError };
+enum class Severity { kWarning, kError };
 
 [[nodiscard]] const char* severity_name(Severity s);
 
@@ -103,18 +102,9 @@ struct RuleInfo {
   const char* summary;
 };
 
-/// Every rule the pass knows, in stable (R1..R8 + directive) order.
+/// Every rule the pass knows, in stable (R1..R11 + directive) order.
 [[nodiscard]] const std::vector<RuleInfo>& rules();
 [[nodiscard]] bool known_rule(std::string_view name);
-
-struct Options {
-  /// Run the R6 header self-sufficiency compile check (invokes the
-  /// compiler once per header; needs a toolchain on PATH).
-  bool compile_check = false;
-  std::string compiler = "c++";
-  /// -I directories for the compile check (transitive includes).
-  std::vector<std::string> include_dirs;
-};
 
 /// Lint one file's contents with the per-file rules (R1–R5, R8 +
 /// suppression diagnostics). `path` is used for reporting only; nothing
@@ -123,13 +113,13 @@ struct Options {
                                                std::string_view text);
 
 /// Recursively lint every .hpp/.h/.cpp/.cc under `roots` (files are also
-/// accepted directly): per-file rules R1–R8 plus the cross-TU passes
-/// R9–R11 over the whole-tree index. A root that is neither a file nor a
-/// directory, or a file that cannot be read, is an `io-error` finding.
-/// Results are ordered by path then line, so output is byte-stable for a
-/// given tree.
+/// accepted directly): per-file rules R1–R5, R7 and R8 plus the cross-TU
+/// passes R9–R11 over the whole-tree index. A root that is neither a file
+/// nor a directory, or a file that cannot be read, is an `io-error`
+/// finding. Results are ordered by path then line, so output is
+/// byte-stable for a given tree; any finding fails the gate.
 [[nodiscard]] std::vector<Finding> lint_tree(
-    const std::vector<std::string>& roots, const Options& opts = {});
+    const std::vector<std::string>& roots);
 
 /// Human-readable report: "file:line: severity: [rule] message" lines.
 [[nodiscard]] std::string to_text(const std::vector<Finding>& findings);
@@ -137,8 +127,5 @@ struct Options {
 /// SARIF 2.1.0 report (one run, tool driver "hvc_lint", every known
 /// rule listed, one result per finding) for CI code-scanning upload.
 [[nodiscard]] std::string to_sarif(const std::vector<Finding>& findings);
-
-/// The gate condition: any finding at warning severity or worse.
-[[nodiscard]] bool has_failure(const std::vector<Finding>& findings);
 
 }  // namespace hvc::lint

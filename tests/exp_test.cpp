@@ -5,7 +5,9 @@
 // so the tsan stage of scripts/check.sh can select exactly them.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "core/scenario.hpp"
 #include "exp/results.hpp"
@@ -137,6 +139,34 @@ TEST(ExpSpec, RejectsMalformedInput) {
   }
   EXPECT_NO_THROW((void)exp::ScenarioSpec::from_json_text(
       "{\"channels\": [{\"type\": \"embb\", \"rate_mbps\": 10000}]}"));
+  // Negative RTTs (not a request for the default) and RTT/rate overrides
+  // on the trace-driven types, which would be ignored, fail the same way.
+  const std::pair<const char*, const char*> kIgnoredOverrides[] = {
+      {R"({"type": "embb", "rtt_ms": -5})", "rtt_ms"},
+      {R"({"type": "urllc", "rtt_ms": -80})", "rtt_ms"},
+      {R"({"type": "tsn", "rtt_ms": -1e400})", "rtt_ms"},
+      {R"({"type": "5g", "profile": "mmwave-driving", "rtt_ms": 20})",
+       "rtt_ms"},
+      {R"({"type": "5g", "profile": "lowband-driving", "rate_mbps": 50})",
+       "rate_mbps"},
+      {R"({"type": "leo", "rtt_ms": 30})", "rtt_ms"},
+      {R"({"type": "leo", "rate_mbps": 100})", "rate_mbps"},
+  };
+  for (const auto& [channel, key] : kIgnoredOverrides) {
+    try {
+      (void)exp::ScenarioSpec::from_json_text(
+          std::string(R"({"channels": [{"type": "urllc"}, )") + channel +
+          "]}");
+      ADD_FAILURE() << "accepted " << channel;
+    } catch (const exp::SpecError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    std::string("channels.1.") + key + ": ", 0),
+                0u)
+          << channel << ": " << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)exp::ScenarioSpec::from_json_text(
+      "{\"channels\": [{\"type\": \"embb\", \"rtt_ms\": 0}]}"));
   // DChannel knobs on a non-dchannel policy.
   EXPECT_THROW((void)exp::ScenarioSpec::from_json_text(
                    "{\"policy\": {\"name\": \"min-delay\", "

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@ namespace hvc {
 namespace {
 
 using lint::Finding;
-using lint::Options;
 using lint::Severity;
 
 std::string fixture(const std::string& name) {
@@ -73,21 +71,6 @@ TEST(LintRules, R5FloatEqualityFiresOnExactCompareOnly) {
   ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
   EXPECT_EQ(hits[0].line, 8);
   EXPECT_EQ(hits[0].severity, Severity::kWarning);
-}
-
-TEST(LintRules, R6HeaderSelfSufficiencyNeedsCompileCheck) {
-  // Without the compile check the header passes (nothing else wrong).
-  EXPECT_TRUE(lint::lint_tree({fixture("r6_header.hpp")}).empty());
-
-  if (std::system("c++ --version > /dev/null 2>&1") != 0) {
-    GTEST_SKIP() << "no c++ compiler on PATH";
-  }
-  Options opts;
-  opts.compile_check = true;
-  const auto all = lint::lint_tree({fixture("r6_header.hpp")}, opts);
-  const auto hits = of_rule(all, "header-not-self-sufficient");
-  ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
-  EXPECT_EQ(hits[0].severity, Severity::kError);
 }
 
 TEST(LintRules, R7ClockIslandFilesSkipWallclockEntirely) {
@@ -206,22 +189,16 @@ TEST(LintOutput, TextFormatIsFileLineSeverityRule) {
       << text;
 }
 
-TEST(LintOutput, HasFailureIgnoresNotes) {
-  std::vector<Finding> notes = {
-      {"", 0, "compile-check-skipped", Severity::kNote, "msg"}};
-  EXPECT_FALSE(lint::has_failure(notes));
-  notes.push_back({"a.cpp", 1, "wallclock", Severity::kError, "msg"});
-  EXPECT_TRUE(lint::has_failure(notes));
-}
-
 TEST(LintOutput, RuleTableKnowsEveryRule) {
   for (const char* name :
        {"wallclock", "unordered-container", "steer-missing-reason",
-        "raw-new-delete", "float-equality", "header-not-self-sufficient",
-        "clock-island", "std-hash"}) {
+        "raw-new-delete", "float-equality", "clock-island", "std-hash"}) {
     EXPECT_TRUE(lint::known_rule(name)) << name;
   }
   EXPECT_FALSE(lint::known_rule("no-such-rule"));
+  // R6 is the hvc_header_check build target (tests/CMakeLists.txt
+  // header_check_fixture_fails), not a scanner rule.
+  EXPECT_FALSE(lint::known_rule("header-not-self-sufficient"));
 }
 
 TEST(LintTree, FindingsAreSortedByPathThenLine) {
@@ -298,13 +275,10 @@ TEST(LintTree, MissingRootIsAnIoError) {
   }
   EXPECT_EQ(all[0].file, "/no/such/dir");
   EXPECT_EQ(all[1].file, "/no/such/file.cpp");
-  EXPECT_TRUE(lint::has_failure(all));
 }
 
 // The acceptance gate: the real source tree is clean, meaning every
 // remaining unordered container / clock use carries a justified allow.
-// (The R6 compile check is exercised separately above and by
-// scripts/check.sh lint; skipping it here keeps the suite fast.)
 TEST(LintTree, RealSourceTreeLintsClean) {
   const std::string root = HVC_SOURCE_DIR;
   const auto all =

@@ -5,15 +5,11 @@
 //     --sarif <file|->      also write a SARIF 2.1.0 report (for CI
 //                           code-scanning upload); "-" = stdout, in
 //                           place of the text report
-//     --compile-check       also run the R6 header self-sufficiency check
-//                           (compiles each header in isolation; skipped
-//                           with a note when no compiler is on PATH)
-//     --compiler <cc>       compiler for --compile-check (default: c++)
-//     -I <dir>              include dir for --compile-check (repeatable)
 //     --list-rules          print the rule table and exit
 //
-// Exit status: 0 clean (notes allowed), 1 findings at warning or worse,
-// 2 usage / IO error. scripts/check.sh lint is the canonical invocation.
+// Exit status: 0 clean, 1 findings, 2 usage / IO error. Header
+// self-sufficiency (R6) is the hvc_header_check build target, not a
+// flag here. scripts/check.sh lint is the canonical invocation.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -27,8 +23,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--sarif <file|->] [--compile-check] "
-               "[--compiler <cc>] [-I <dir>]... [--list-rules] "
+               "usage: %s [--sarif <file|->] [--list-rules] "
                "<file-or-dir>...\n",
                argv0);
   return 2;
@@ -48,7 +43,6 @@ bool write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  hvc::lint::Options opts;
   std::string sarif_path;
   std::vector<std::string> roots;
 
@@ -57,14 +51,6 @@ int main(int argc, char** argv) {
     if (arg == "--sarif") {
       if (++i >= argc) return usage(argv[0]);
       sarif_path = argv[i];
-    } else if (arg == "--compile-check") {
-      opts.compile_check = true;
-    } else if (arg == "--compiler") {
-      if (++i >= argc) return usage(argv[0]);
-      opts.compiler = argv[i];
-    } else if (arg == "-I") {
-      if (++i >= argc) return usage(argv[0]);
-      opts.include_dirs.push_back(argv[i]);
     } else if (arg == "--list-rules") {
       for (const auto& r : hvc::lint::rules()) {
         std::printf("%-28s %-8s %s\n", r.name,
@@ -93,7 +79,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<hvc::lint::Finding> findings =
-      hvc::lint::lint_tree(roots, opts);
+      hvc::lint::lint_tree(roots);
 
   if (!sarif_path.empty() &&
       !write_file(sarif_path, hvc::lint::to_sarif(findings) + "\n")) {
@@ -111,5 +97,5 @@ int main(int argc, char** argv) {
                   roots.size() == 1 ? "" : "s");
     }
   }
-  return hvc::lint::has_failure(findings) ? 1 : 0;
+  return findings.empty() ? 0 : 1;
 }
